@@ -8,7 +8,8 @@ Two entry points share this file (same shape as ``bench_kernels.py``):
   benchmark suite;
 * **the ablation harness** (``python benchmarks/bench_policy_ablation.py
   --out BENCH_policy.json``) — runs PageRank on road-ca-mini/8 machines
-  under every shipped controller on both lazy engines, with the tracer
+  under every shipped controller on both lazy engines (plus the
+  ``simple``/``never`` strawman rules on LazyBlockAsync), with the tracer
   and coherency lens on, and records per-row: coherency points, syncs,
   traffic, the max deviation from the single-machine
   ``pagerank_reference`` fixpoint, and the LensAuditor verdict.
@@ -41,7 +42,13 @@ from repro.run_api import prepare_graph, run
 GRAPH = "road-ca-mini"
 MACHINES = 8
 LAZY_VERTEX_POLICIES = ("paper", "staleness", "batched")
-LAZY_BLOCK_POLICIES = ("paper", "staleness")
+#: lazy-block also pins Fig 8(a)'s strawman rules (``simple``, ``never``)
+LAZY_BLOCK_POLICIES = ("paper", "staleness", "batched", "simple", "never")
+#: counters ``--check`` compares exactly against the committed baseline
+CHECKED_COUNTERS = (
+    "coherency_points", "supersteps", "global_syncs", "comm_messages",
+    "comm_bytes",
+)
 #: the repo's validation-standard PageRank tolerance (``repro validate``)
 VALUE_TOL = 5e-2
 CUT_TARGET = 0.20
@@ -172,17 +179,18 @@ def run_harness(args):
     if args.check:
         with open(args.check) as fh:
             base = json.load(fh)
-        # the simulator is deterministic: any drift in the coherency-point
-        # counts against the committed baseline is a behaviour change
+        # the simulator is deterministic: any drift in a row's counters
+        # against the committed baseline is a behaviour change
         for label, row in base["rows"].items():
             new = report["rows"].get(label)
             if new is None:
                 continue  # baseline row not run (e.g. --quick)
-            if new["coherency_points"] != row["coherency_points"]:
-                failures.append(
-                    f"{label}: {new['coherency_points']} coherency points "
-                    f"vs baseline {row['coherency_points']}"
-                )
+            for counter in CHECKED_COUNTERS:
+                if new[counter] != row[counter]:
+                    failures.append(
+                        f"{label}: {counter} {new[counter]} "
+                        f"vs baseline {row[counter]}"
+                    )
     for f in failures:
         print("REGRESSION:", f, file=sys.stderr)
     return 1 if failures else 0
@@ -197,7 +205,7 @@ def main(argv=None):
     )
     ap.add_argument(
         "--check", metavar="BASELINE",
-        help="fail (exit 1) if coherency-point counts drift vs this JSON",
+        help="fail (exit 1) if any row's counters drift vs this JSON",
     )
     return run_harness(ap.parse_args(argv))
 
