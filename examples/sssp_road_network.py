@@ -56,10 +56,11 @@ def main() -> None:
 
     # interval strategies (paper Fig 8a)
     rows = []
-    for interval in ("adaptive", "simple", "never"):
+    for interval, policy in (
+        ("adaptive", "paper"), ("simple", "simple"), ("never", "never")
+    ):
         r = repro.run(
-            graph, "sssp", engine="lazy-block", machines=48,
-            policy=repro.CoherencyPolicy(interval=interval),
+            graph, "sssp", engine="lazy-block", machines=48, policy=policy,
         )
         rows.append(
             [interval, round(r.stats.modeled_time_s, 4), r.stats.global_syncs,

@@ -15,9 +15,52 @@ methodology on the mini workloads:
     python examples/tune_interval_rule.py
 """
 
+from typing import Optional, Sequence, Tuple
+
 import repro
 from repro.bench import PAPER_INTERVAL_RULE, format_table
-from repro.core.interval_model import fit_interval_rule
+from repro.core import CoherencySignals, PaperRuleController
+from repro.errors import ConfigError
+
+
+def fit_interval_rule(
+    samples: Sequence[Tuple[float, float, bool]],
+    ev_candidates: Optional[Sequence[float]] = None,
+    trend_candidates: Optional[Sequence[float]] = None,
+) -> PaperRuleController:
+    """Learn (ev_threshold, trend_threshold) from labelled observations.
+
+    ``samples`` are ``(ev_ratio, trend, lazy_was_beneficial)`` tuples —
+    e.g. produced by running both interval settings over a grid of
+    workloads. The rule family is the paper's disjunction
+    ``E/V <= a or trend >= b``; we grid-search the (a, b) pair with the
+    fewest misclassifications (ties: smallest a then largest b, i.e. the
+    most conservative rule).
+    """
+    if not samples:
+        raise ConfigError("fit_interval_rule needs at least one sample")
+    evs = sorted({s[0] for s in samples})
+    trends = sorted({s[1] for s in samples})
+    ev_candidates = list(ev_candidates) if ev_candidates else evs
+    trend_candidates = list(trend_candidates) if trend_candidates else trends
+    best: Optional[Tuple[int, float, float]] = None
+    for a in ev_candidates:
+        for b in trend_candidates:
+            errors = sum(
+                1
+                for ev, tr, label in samples
+                if ((ev <= a) or (tr >= b)) != label
+            )
+            key = (errors, a, -b)
+            if best is None or key < (best[0], best[1], -best[2]):
+                best = (errors, a, b)
+    assert best is not None
+    return PaperRuleController(ev_threshold=best[1], trend_threshold=best[2])
+
+
+def lazy_on(rule: PaperRuleController, ev_ratio: float, trend: float) -> bool:
+    """The rule's ``turnOnLazy`` verdict for one (E/V, trend) sample."""
+    return rule.turn_on_lazy(CoherencySignals(0, ev_ratio, trend, 0))
 
 
 def harvest_samples():
@@ -66,7 +109,7 @@ def main() -> None:
     errors = sum(
         1
         for ev, tr, label in samples
-        if rule.turn_on_lazy(ev, tr) != label
+        if lazy_on(rule, ev, tr) != label
     )
     print(f"\nfitted rule : E/V <= {rule.ev_threshold}"
           f"  or  trend >= {rule.trend_threshold}"
@@ -75,11 +118,15 @@ def main() -> None:
           f"  or  trend >= {PAPER_INTERVAL_RULE['trend_threshold']}")
 
     # run the basket under the fitted rule vs the paper rule
+    fitted = repro.CoherencyPolicy(options=(
+        ("ev_threshold", rule.ev_threshold),
+        ("trend_threshold", rule.trend_threshold),
+    ))
     total_fit = total_paper = 0.0
     for graph, alg in (("road-usa-mini", "sssp"), ("twitter-mini", "pagerank")):
         total_fit += repro.run(
             graph, alg, machines=24,
-            policy=repro.CoherencyPolicy(interval=rule),
+            policy=fitted,
         ).stats.modeled_time_s
         total_paper += repro.run(graph, alg, machines=24).stats.modeled_time_s
     print(f"\nbasket time — fitted: {total_fit:.3f}s, paper rule: {total_paper:.3f}s")

@@ -22,22 +22,18 @@ from repro.api import DeltaAlgebra, DeltaProgram, MAX_ALGEBRA, MIN_ALGEBRA, SUM_
 from repro.algorithms import make_program, program_names
 from repro.cluster import ClusterSim, CommMode, NetworkModel, RunStats
 from repro.core import (
-    AdaptiveIntervalModel,
     BatchedController,
     CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
     LazyBlockAsyncEngine,
     LazyVertexAsyncEngine,
-    NeverLazyModel,
     PaperRuleController,
-    SimpleIntervalModel,
     StalenessController,
     build_lazy_graph,
     controller_names,
     get_policy,
     make_controller,
-    make_interval_model,
     policy_names,
     register_policy,
 )
@@ -119,10 +115,6 @@ __all__ = [
     "Channel",
     "Delivery",
     "PayloadSchema",
-    "AdaptiveIntervalModel",
-    "SimpleIntervalModel",
-    "NeverLazyModel",
-    "make_interval_model",
     "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",

@@ -81,7 +81,7 @@ class ExperimentConfig:
     lens_opts: Dict = field(default_factory=dict)
     #: Named coherency policy (see :func:`repro.policy_names`), default
     #: the ``"paper"`` policy on lazy engines; ``policy_opts`` overlays
-    #: ``--policy-opt``-style overrides (``interval=…``, ``mode=…``,
+    #: ``--policy-opt``-style overrides (``mode=…``,
     #: ``max_delta_age=…``, controller options).
     policy: Optional[str] = None
     policy_opts: Dict = field(default_factory=dict)

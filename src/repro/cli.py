@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--policy", choices=list(POLICY_NAMES),
-        help="named coherency policy (controller + interval + wire mode "
-             "+ max_delta_age in one knob; lazy engines)",
+        help="named coherency policy (controller + its options + wire "
+             "mode + max_delta_age in one knob; lazy engines)",
     )
     p_run.add_argument(
         "--policy-opt", action="append", metavar="K=V", default=[],

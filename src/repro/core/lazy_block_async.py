@@ -7,7 +7,7 @@ Execution alternates two stages:
   data — replicas of a vertex drift apart, new local views become
   visible to local neighbours immediately, and one-edge messages
   accumulate into ``deltaMsg``. No communication, no synchronization.
-  The stage is bounded by the interval model's ``doLC()`` budget
+  The stage is bounded by the controller's ``doLC()`` budget
   (``3·T`` of the stage's first micro-iteration by default) or ends at
   local quiescence.
 * **data coherency stage**: one delta exchange (all-to-all or
@@ -30,14 +30,12 @@ from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
 from repro.comms import Delivery
 from repro.core.coherency import CoherencyExchanger
-from repro.core.interval_model import IntervalModel
 from repro.core.policy import (
     CoherencyController,
     CoherencySignals,
     PaperRuleController,
-    SignalTap,
+    read_signals,
 )
-from repro.errors import EngineError
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
@@ -52,16 +50,11 @@ class LazyBlockAsyncEngine(BaseEngine):
 
     Parameters
     ----------
-    interval_model:
-        Strategy for ``turnOnLazy``/``doLC`` (default: the paper's
-        adaptive rule). Shorthand for
-        ``controller=PaperRuleController(interval_model)``; mutually
-        exclusive with ``controller``.
     controller:
-        A :class:`~repro.core.policy.CoherencyController` deciding the
-        coherency points from the full :class:`CoherencySignals`
-        snapshot (default: the paper rule, bit-identical to the
-        pre-controller engine).
+        A :class:`~repro.core.policy.CoherencyController` deciding
+        ``turnOnLazy``/``doLC`` from the full :class:`CoherencySignals`
+        snapshot (default: the paper's adaptive rule, bit-identical to
+        the pre-controller engine).
     coherency_mode:
         ``"dynamic"`` (paper default), ``"a2a"`` or ``"m2m"``.
     lens:
@@ -77,7 +70,6 @@ class LazyBlockAsyncEngine(BaseEngine):
         pgraph: PartitionedGraph,
         program: DeltaProgram,
         network: Optional[NetworkModel] = None,
-        interval_model: Optional[IntervalModel] = None,
         coherency_mode: str = "dynamic",
         max_supersteps: int = 100_000,
         trace: bool = False,
@@ -91,19 +83,7 @@ class LazyBlockAsyncEngine(BaseEngine):
             pgraph, program, network, max_supersteps, trace, tracer,
             backend=backend, plans=plans,
         )
-        if controller is not None and interval_model is not None:
-            raise EngineError(
-                "pass either interval_model or controller, not both"
-            )
-        self.controller = controller or PaperRuleController(interval_model)
-        # kept for introspection/back-compat; None for controllers that
-        # do not wrap an interval model
-        self.interval_model = getattr(self.controller, "interval_model", None)
-        self._tap = (
-            SignalTap(self.runtimes, pgraph, program)
-            if self.controller.needs_signals
-            else None
-        )
+        self.controller = controller or PaperRuleController()
         if lens:
             # lens may be True or a dict of CoherencyLens kwargs
             # (sample_size/seed/rollup_after/rollup_every/sharded)
@@ -212,7 +192,7 @@ class LazyBlockAsyncEngine(BaseEngine):
         tracer = self.tracer
         lens = self.lens
         controller = self.controller
-        tap = self._tap
+        algebra = self.program.algebra
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step):
                 lens.begin_superstep(step)
@@ -226,8 +206,12 @@ class LazyBlockAsyncEngine(BaseEngine):
                 # extended controller signals must also read the
                 # *pre*-exchange state (the exchange clears the pending
                 # mass the controller is reasoning about); trend/active
-                # are patched in once known
-                ext = tap.read(step, ev_ratio, 0.0, 0) if tap else None
+                # are filled in once known
+                ext = (
+                    read_signals(self.runtimes, algebra, step, ev_ratio, 0.0, 0)
+                    if controller.needs_signals
+                    else None
+                )
 
                 # ---- Stage 2: data coherency --------------------------
                 with tracer.span("coherency", category="phase") as sp:

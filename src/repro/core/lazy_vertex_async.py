@@ -33,7 +33,7 @@ from repro.core.policy import (
     CoherencyController,
     CoherencySignals,
     PaperRuleController,
-    SignalTap,
+    read_signals,
 )
 from repro.errors import EngineError
 from repro.obs.lens import CoherencyLens
@@ -89,11 +89,6 @@ class LazyVertexAsyncEngine(BaseEngine):
             raise EngineError(f"max_delta_age must be >= 1, got {max_delta_age}")
         self.max_delta_age = max_delta_age
         self.controller = controller or PaperRuleController()
-        self._tap = (
-            SignalTap(self.runtimes, pgraph, program)
-            if self.controller.needs_signals
-            else None
-        )
         if lens:
             # lens may be True or a dict of CoherencyLens kwargs
             # (sample_size/seed/rollup_after/rollup_every/sharded)
@@ -122,7 +117,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         lens = self.lens
         controller = self.controller
         shards = self.shards
-        tap = self._tap
+        algebra = self.program.algebra
         ev_ratio = self.pgraph.graph.ev_ratio
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step):
@@ -158,9 +153,12 @@ class LazyVertexAsyncEngine(BaseEngine):
                     # the controller decides this superstep's partial
                     # exchange: execute at some due-age floor, or defer
                     # and let the pending deltas keep coalescing
-                    if tap is not None:
-                        signals = tap.read(
-                            step, ev_ratio, 0.0,
+                    if controller.needs_signals:
+                        # staleness reads the engine's own _age clock
+                        # (advanced after the local round), not the
+                        # lens's top-of-superstep clock
+                        signals = read_signals(
+                            self.runtimes, algebra, step, ev_ratio, 0.0,
                             self._global_active_count(), ages=self._age,
                         )
                     else:

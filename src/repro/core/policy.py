@@ -3,19 +3,21 @@
 The paper's adaptive rule (§4.2.1) decides coherency points from two
 features only — ``E/V`` and the active-count trend. The coherency lens
 (PR 4) showed that laziness actually trades away *measurable* quantities
-the rule never sees: pending ``deltaMsg`` mass, replica staleness age,
-and master↔mirror drift. This module generalizes the interval model
-into a :class:`CoherencyController` protocol fed a per-superstep
-:class:`CoherencySignals` snapshot carrying all five signals, computed
-cheaply inline by a :class:`SignalTap` (not via the lens probes, so
-controllers work with ``lens=False``).
+the rule never sees: pending ``deltaMsg`` mass and replica staleness
+age. A :class:`CoherencyController` is the one decision abstraction:
+it is fed a per-superstep :class:`CoherencySignals` snapshot, whose
+extended signals :func:`read_signals` fills in only for controllers
+that declare ``needs_signals`` (with the same per-machine pending read
+the lens probes use, so controllers work with ``lens=False``).
 
 Shipped controllers:
 
-* :class:`PaperRuleController` (``"paper"``, the default) — wraps an
-  :class:`~repro.core.interval_model.IntervalModel` and reproduces the
-  paper's behaviour bit-identically (it never requests the extended
-  signals, so the default hot path computes nothing new);
+* :class:`PaperRuleController` (``"paper"``, the default) — the paper's
+  learned rule with its three numbers as options (``ev_threshold``,
+  ``trend_threshold``, ``budget_multiplier``); Fig 8(a)'s ``simple``
+  and ``never`` strawmen are settings of those numbers
+  (:data:`STRAWMAN_RULES`). It never requests the extended signals, so
+  the default hot path computes nothing new;
 * :class:`StalenessController` (``"staleness"``) — accumulated-delta-
   magnitude driven (cf. *Maiter* / *Delayed Asynchronous Iterative
   Graph Algorithms*): on LazyVertexAsync it delays partial exchanges
@@ -31,9 +33,12 @@ Shipped controllers:
   ``max_delta_age`` bound, but exchanges fire ~``max_delta_age``×
   less often.
 
+Both signal-driven controllers inherit the paper rule's LazyBlockAsync
+hooks (and its three options).
+
 The user-facing knob is :class:`CoherencyPolicy`: one typed dataclass
-collapsing the previously scattered coherency arguments (``interval``,
-``coherency_mode``, ``max_delta_age``) plus the controller choice and
+collapsing the previously scattered coherency arguments
+(``coherency_mode``, ``max_delta_age``) plus the controller choice and
 its options. Policies are registered by name (:func:`register_policy` /
 :func:`get_policy`) so ``repro.run(policy="staleness")``, the CLI's
 ``--policy`` and ``ExperimentConfig(policy=...)`` all share one
@@ -49,19 +54,16 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.interval_model import (
-    AdaptiveIntervalModel,
-    IntervalModel,
-    make_interval_model,
-)
 from repro.errors import ConfigError
+from repro.obs.lens import pending_delta
 
 __all__ = [
     "CoherencySignals",
-    "SignalTap",
+    "read_signals",
     "ExchangeDirective",
     "CoherencyController",
     "PaperRuleController",
+    "STRAWMAN_RULES",
     "StalenessController",
     "BatchedController",
     "CoherencyPolicy",
@@ -82,10 +84,10 @@ class CoherencySignals:
     """One superstep's controller inputs.
 
     ``ev_ratio``/``trend``/``active`` are the paper's features (free to
-    compute); ``pending_mass``/``pending_replicas``/``staleness_max``/
-    ``drift_sample`` are the lens-grade extended signals, filled in only
+    compute); ``pending_mass``/``pending_replicas``/``staleness_max``
+    are the extended signals, filled in by :func:`read_signals` only
     when the active controller sets ``needs_signals`` (they cost one
-    pass over the pending deltas plus a small drift sample).
+    pass over the pending deltas).
     """
 
     superstep: int
@@ -95,7 +97,6 @@ class CoherencySignals:
     pending_mass: float = 0.0
     pending_replicas: int = 0
     staleness_max: int = 0
-    drift_sample: float = 0.0
 
     def as_inputs(self) -> Dict[str, float]:
         """Flat snapshot for the lens decision audit log."""
@@ -106,95 +107,42 @@ class CoherencySignals:
             "pending_mass": float(self.pending_mass),
             "pending_replicas": int(self.pending_replicas),
             "staleness_max": int(self.staleness_max),
-            "drift_sample": float(self.drift_sample),
         }
 
 
-class SignalTap:
-    """Cheap inline reader of the extended coherency signals.
+def read_signals(
+    runtimes,
+    algebra,
+    superstep: int,
+    ev_ratio: float,
+    trend: float,
+    active: int,
+    ages: Optional[List[np.ndarray]] = None,
+) -> CoherencySignals:
+    """Snapshot all signals (``ages``: per-machine staleness clocks).
 
-    Unlike the lens probes this never touches the tracer or metrics —
-    it is the controller's private measurement path, available with
-    ``lens=False``. Engines construct one only when the controller
-    declares ``needs_signals``, so the default (paper) configuration
-    computes nothing extra.
+    Reads the pending deltas with the lens's per-machine
+    :func:`~repro.obs.lens.pending_delta`, folded machine-ascending, but
+    never touches the tracer or metrics.
     """
-
-    def __init__(
-        self,
-        runtimes,
-        pgraph,
-        program,
-        sample_size: int = 8,
-        seed: int = 0,
-    ) -> None:
-        self.runtimes = list(runtimes)
-        self.algebra = program.algebra
-        # deterministic drift sample: a handful of replicated vertices
-        # mapped to their (machine, local index) replica slots
-        replicated = np.flatnonzero(pgraph.num_replicas > 1)
-        if replicated.size > sample_size:
-            rng = np.random.default_rng(seed)
-            replicated = np.sort(
-                rng.choice(replicated, size=sample_size, replace=False)
-            )
-        pos = {int(g): i for i, g in enumerate(replicated)}
-        locations: List[List[Tuple[int, int]]] = [
-            [] for _ in range(replicated.size)
-        ]
-        for mi, rt in enumerate(self.runtimes):
-            for li, gid in enumerate(rt.mg.vertices):
-                slot = pos.get(int(gid))
-                if slot is not None:
-                    locations[slot].append((mi, li))
-        self._locations = locations
-
-    def drift_sample(self) -> float:
-        """Max master↔mirror value gap over the deterministic sample."""
-        worst = 0.0
-        values = [rt.values() for rt in self.runtimes]
-        for locs in self._locations:
-            lo = math.inf
-            hi = -math.inf
-            for mi, li in locs:
-                v = float(values[mi][li])
-                lo = min(lo, v)
-                hi = max(hi, v)
-            gap = hi - lo
-            if math.isfinite(gap) and gap > worst:
-                worst = gap
-        return worst
-
-    def read(
-        self,
-        superstep: int,
-        ev_ratio: float,
-        trend: float,
-        active: int,
-        ages: Optional[List[np.ndarray]] = None,
-    ) -> CoherencySignals:
-        """Snapshot all signals (``ages``: per-machine staleness clocks)."""
-        mass = 0.0
-        count = 0
-        stale = 0
-        for mi, rt in enumerate(self.runtimes):
-            idx = np.flatnonzero(rt.has_delta)
-            if idx.size == 0:
-                continue
-            mass += self.algebra.magnitude(rt.delta_msg[idx])
-            count += int(idx.size)
-            if ages is not None:
-                stale = max(stale, int(ages[mi][idx].max()))
-        return CoherencySignals(
-            superstep=superstep,
-            ev_ratio=float(ev_ratio),
-            trend=float(trend),
-            active=int(active),
-            pending_mass=float(mass),
-            pending_replicas=count,
-            staleness_max=stale,
-            drift_sample=self.drift_sample(),
-        )
+    mass = 0.0
+    count = 0
+    stale = 0
+    for mi, rt in enumerate(runtimes):
+        m_mass, m_count = pending_delta(rt, algebra)
+        mass += m_mass
+        count += m_count
+        if m_count and ages is not None:
+            stale = max(stale, int(ages[mi][rt.has_delta].max()))
+    return CoherencySignals(
+        superstep=superstep,
+        ev_ratio=float(ev_ratio),
+        trend=float(trend),
+        active=int(active),
+        pending_mass=float(mass),
+        pending_replicas=count,
+        staleness_max=stale,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +161,6 @@ class ExchangeDirective:
     execute: bool
     min_age: int
     rule: str
-
-
-#: The deferral directive shared by all controllers.
-DEFER = ExchangeDirective(execute=False, min_age=0, rule="defer")
 
 
 class CoherencyController(abc.ABC):
@@ -256,32 +200,70 @@ class CoherencyController(abc.ABC):
         return ExchangeDirective(True, max_delta_age, "max-delta-age")
 
 
-class PaperRuleController(CoherencyController):
-    """The paper's behaviour behind the controller protocol (default).
+#: Fig 8(a)'s strawman rules as settings of the paper rule's numbers:
+#: ``simple`` keeps lazy mode always on and runs every local stage to
+#: local quiescence; ``never`` never turns it on (every superstep is a
+#: coherency point — isolates the 3-syncs→1-sync saving from laziness).
+STRAWMAN_RULES: Dict[str, Dict[str, float]] = {
+    "simple": {"ev_threshold": math.inf, "budget_multiplier": math.inf},
+    "never": {
+        "ev_threshold": -math.inf,
+        "trend_threshold": math.inf,
+        "budget_multiplier": 0.0,
+    },
+}
 
-    Wraps an :class:`IntervalModel` (adaptive by default) for the
-    LazyBlockAsync decisions and keeps LazyVertexAsync's per-replica
-    ``max_delta_age`` trigger. Bit-identical to the pre-controller
-    engines — the golden-number pins hold under this controller.
+
+class PaperRuleController(CoherencyController):
+    """The paper's learned rule behind the controller protocol (default).
+
+    * ``turnOnLazy()`` — lazy mode turns on iff
+      ``E/V <= ev_threshold or trend >= trend_threshold`` (10 and 0.07
+      in the paper), where ``trend = (cnt_{t-1} − cnt_t) / cnt_{t-1}``
+      is the relative decrease of the active-vertex count between
+      coherency points: poor locality (high E/V) in the *ascent* phase
+      needs frequent synchronization; descent phases and local graphs
+      do not.
+    * ``doLC()`` — a local computation stage may run for at most
+      ``budget_multiplier · T`` (3·T in the paper), where ``T`` is the
+      modeled time of the stage's first micro-iteration.
+
+    LazyVertexAsync keeps the per-replica ``max_delta_age`` trigger.
+    Bit-identical to the pre-controller engines — the golden-number
+    pins hold under this controller.
     """
 
     name = "paper"
 
-    def __init__(self, interval_model: Optional[IntervalModel] = None) -> None:
-        self.interval_model = interval_model or AdaptiveIntervalModel()
+    def __init__(
+        self,
+        ev_threshold: float = 10.0,
+        trend_threshold: float = 0.07,
+        budget_multiplier: float = 3.0,
+    ) -> None:
+        self.ev_threshold = float(ev_threshold)
+        self.trend_threshold = float(trend_threshold)
+        self.budget_multiplier = float(budget_multiplier)
 
     @property
     def rule_name(self) -> str:
-        return self.interval_model.name
+        """``adaptive``, or the strawman these settings spell."""
+        for label, preset in STRAWMAN_RULES.items():
+            if all(getattr(self, k) == v for k, v in preset.items()):
+                return label
+        return "adaptive"
 
     def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return self.interval_model.turn_on_lazy(signals.ev_ratio, signals.trend)
+        return (
+            signals.ev_ratio <= self.ev_threshold
+            or signals.trend >= self.trend_threshold
+        )
 
     def local_budget(self, first_iteration_time: float) -> float:
-        return self.interval_model.local_budget(first_iteration_time)
+        return self.budget_multiplier * first_iteration_time
 
 
-class StalenessController(CoherencyController):
+class StalenessController(PaperRuleController):
     """Delay exchanges while the pending delta mass decays.
 
     Tracks the running peak of the pending ``deltaMsg`` mass. Once the
@@ -296,13 +278,16 @@ class StalenessController(CoherencyController):
 
     name = "staleness"
     needs_signals = True
+    # decisions carry this controller's name, not the paper rule's label
+    rule_name = CoherencyController.rule_name
 
     def __init__(
         self,
-        interval_model: Optional[IntervalModel] = None,
         mass_floor: float = 0.5,
         age_cap_factor: float = 2.0,
+        **rule: float,
     ) -> None:
+        super().__init__(**rule)
         if not 0.0 < mass_floor <= 1.0:
             raise ConfigError(
                 f"staleness controller: mass_floor must be in (0, 1], "
@@ -313,7 +298,6 @@ class StalenessController(CoherencyController):
                 f"staleness controller: age_cap_factor must be >= 1, "
                 f"got {age_cap_factor}"
             )
-        self.interval_model = interval_model or AdaptiveIntervalModel()
         self.mass_floor = float(mass_floor)
         self.age_cap_factor = float(age_cap_factor)
         self._peak_mass = 0.0
@@ -323,11 +307,8 @@ class StalenessController(CoherencyController):
         return 0.0 < pending_mass < self.mass_floor * self._peak_mass
 
     def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        base = self.interval_model.turn_on_lazy(signals.ev_ratio, signals.trend)
+        base = super().turn_on_lazy(signals)
         return base or self._decaying(signals.pending_mass)
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        return self.interval_model.local_budget(first_iteration_time)
 
     def partial_exchange(
         self, signals: CoherencySignals, max_delta_age: int
@@ -345,7 +326,7 @@ class StalenessController(CoherencyController):
         return ExchangeDirective(True, max_delta_age, "mass-due")
 
 
-class BatchedController(CoherencyController):
+class BatchedController(PaperRuleController):
     """Coalesce LazyVertexAsync partial exchanges under ``max_delta_age``.
 
     The per-replica age trigger spreads many tiny partial exchanges over
@@ -361,15 +342,8 @@ class BatchedController(CoherencyController):
 
     name = "batched"
     needs_signals = True
-
-    def __init__(self, interval_model: Optional[IntervalModel] = None) -> None:
-        self.interval_model = interval_model or AdaptiveIntervalModel()
-
-    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return self.interval_model.turn_on_lazy(signals.ev_ratio, signals.trend)
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        return self.interval_model.local_budget(first_iteration_time)
+    # decisions carry this controller's name, not the paper rule's label
+    rule_name = CoherencyController.rule_name
 
     def partial_exchange(
         self, signals: CoherencySignals, max_delta_age: int
@@ -391,11 +365,7 @@ def controller_names() -> Tuple[str, ...]:
     return tuple(sorted(_CONTROLLERS))
 
 
-def make_controller(
-    name: str,
-    interval_model: Optional[IntervalModel] = None,
-    **options,
-) -> CoherencyController:
+def make_controller(name: str, **options: float) -> CoherencyController:
     """Build a fresh controller by name (controllers are stateful)."""
     try:
         cls = _CONTROLLERS[name]
@@ -405,7 +375,7 @@ def make_controller(
             f"{', '.join(controller_names())}"
         ) from None
     try:
-        return cls(interval_model=interval_model, **options)
+        return cls(**options)
     except TypeError as exc:
         raise ConfigError(
             f"controller {name!r} rejected options {sorted(options)}: {exc}"
@@ -420,15 +390,16 @@ class CoherencyPolicy:
     """Every coherency knob in one typed, hashable value.
 
     Collapses the previously scattered arguments — ``run()``'s
-    ``interval``/``coherency_mode`` and the engines' ``max_delta_age`` —
-    plus the controller choice and its numeric options. Accepted by
+    ``coherency_mode`` and the engines' ``max_delta_age`` — plus the
+    controller choice and its numeric options (e.g. the paper rule's
+    ``ev_threshold``/``trend_threshold``/``budget_multiplier``, or a
+    signal-driven controller's ``mass_floor``). Accepted by
     :func:`repro.run` (``policy=``), the CLI (``--policy`` /
     ``--policy-opt k=v``) and
     :class:`~repro.bench.configs.ExperimentConfig`.
     """
 
     controller: str = "paper"
-    interval: Union[str, IntervalModel] = "adaptive"
     mode: str = "dynamic"
     max_delta_age: int = 3
     options: Tuple[Tuple[str, float], ...] = ()
@@ -449,36 +420,26 @@ class CoherencyPolicy:
             )
 
     # ------------------------------------------------------------------
-    def make_interval_model(self) -> IntervalModel:
-        if isinstance(self.interval, IntervalModel):
-            return self.interval
-        return make_interval_model(self.interval)
-
     def make_controller(self) -> CoherencyController:
         """A fresh (per-run) controller configured by this policy."""
-        return make_controller(
-            self.controller,
-            interval_model=self.make_interval_model(),
-            **dict(self.options),
-        )
+        return make_controller(self.controller, **dict(self.options))
 
     def apply_opts(self, opts: Mapping[str, object]) -> "CoherencyPolicy":
         """Overlay ``--policy-opt``-style key=value overrides.
 
-        The policy's own fields (``controller``, ``interval``, ``mode``,
+        The policy's own fields (``controller``, ``mode``,
         ``max_delta_age``) are recognized by name; anything else becomes
-        a numeric controller option.
+        a numeric controller option. A value of the wrong type raises
+        :class:`ConfigError` naming its key.
         """
         pol = self
         for key, value in opts.items():
             if key == "controller":
                 pol = replace(pol, controller=str(value))
-            elif key == "interval":
-                pol = replace(pol, interval=str(value))
             elif key == "mode":
                 pol = replace(pol, mode=str(value))
             elif key == "max_delta_age":
-                pol = replace(pol, max_delta_age=int(value))
+                pol = replace(pol, max_delta_age=_integer(key, value))
             else:
                 try:
                     numeric = float(value)
@@ -493,18 +454,25 @@ class CoherencyPolicy:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (bench outputs, experiment reports)."""
-        interval = (
-            self.interval.name
-            if isinstance(self.interval, IntervalModel)
-            else self.interval
-        )
         return {
             "controller": self.controller,
-            "interval": interval,
             "mode": self.mode,
             "max_delta_age": self.max_delta_age,
             "options": dict(self.options),
         }
+
+
+def _integer(key: str, value: object) -> int:
+    """``value`` as an exact integer, else a ConfigError naming ``key``."""
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ConfigError(
+            f"policy option {key!r} must be an integer, got {value!r}"
+        )
+    return int(number)
 
 
 _POLICIES: Dict[str, CoherencyPolicy] = {}
@@ -542,8 +510,10 @@ def policy_names() -> Tuple[str, ...]:
 # Builtin vocabulary: the paper rule and its Fig 8(a) strawmen, plus the
 # two signal-driven controllers this layer introduces.
 register_policy("paper", CoherencyPolicy())
-register_policy("simple", CoherencyPolicy(interval="simple"))
-register_policy("never", CoherencyPolicy(interval="never"))
+for _name, _rule in STRAWMAN_RULES.items():
+    register_policy(
+        _name, CoherencyPolicy(options=tuple(sorted(_rule.items())))
+    )
 register_policy("staleness", CoherencyPolicy(controller="staleness"))
 register_policy("batched", CoherencyPolicy(controller="batched"))
 
@@ -553,7 +523,7 @@ register_policy("batched", CoherencyPolicy(controller="batched"))
 # ----------------------------------------------------------------------
 def resolve_policy(
     policy: Union[str, CoherencyPolicy, None] = None,
-    interval: Union[str, IntervalModel, None] = None,
+    interval: object = None,
     coherency_mode: Optional[str] = None,
     max_delta_age: Optional[int] = None,
 ) -> Tuple[CoherencyPolicy, bool]:
@@ -569,8 +539,9 @@ def resolve_policy(
     """
     if interval is not None:
         raise ConfigError(
-            "run(interval=...) was removed; use "
-            "policy=CoherencyPolicy(interval=...) or a named --policy"
+            'run(interval=...) was removed; use policy="simple" / '
+            '"never" or policy=CoherencyPolicy(controller=..., '
+            "options=...)"
         )
     if coherency_mode is not None:
         raise ConfigError(

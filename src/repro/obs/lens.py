@@ -36,7 +36,7 @@ when the lens is off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,12 +47,29 @@ __all__ = [
     "NULL_LENS",
     "STALENESS_BUCKETS",
     "MASS_BUCKETS",
+    "pending_delta",
 ]
 
 #: Staleness-age histogram boundaries (supersteps a delta stayed pending).
 STALENESS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 #: Pending/exchanged delta-mass histogram boundaries (monoid units).
 MASS_BUCKETS = (0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
+
+def pending_delta(
+    rt, algebra, mask: Optional[np.ndarray] = None
+) -> Tuple[float, int]:
+    """One machine's pending ``deltaMsg`` reading: ``(mass, count)``.
+
+    ``mask`` narrows the read to a subset of the machine's replicas.
+    The one per-machine pending read: lens probes, post-exchange
+    invariant probes and the controllers' signals all call it.
+    """
+    sel = rt.has_delta if mask is None else (rt.has_delta & mask)
+    idx = np.flatnonzero(sel)
+    if idx.size == 0:
+        return 0.0, 0
+    return algebra.magnitude(rt.delta_msg[idx]), int(idx.size)
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,7 @@ class CoherencyDecision:
         exchange — the audit invariant is that the count of these
         equals ``RunStats.coherency_points``).
     rule:
-        Name of the rule that decided (interval-model name,
+        Name of the rule that decided (the controller's rule label,
         ``"max-delta-age"``, ``"idle-drain"``).
     verdict:
         Human-readable outcome (``"lazy-on"``, ``"exchange"``, …).
@@ -211,7 +228,7 @@ class CoherencyLens:
             np.zeros(rt.mg.num_local_vertices, dtype=np.int64)
             for rt in self.runtimes
         ]
-        self._sample = self._pick_drift_sample(sample_size, seed)
+        self._sample = self._pick_sample(sample_size, seed)
         # the same sample keyed per machine: machine → [(slot, local idx)]
         # so a shard probe can read its drift contributions locally
         self._sample_by_machine: List[List] = [[] for _ in self.runtimes]
@@ -258,7 +275,7 @@ class CoherencyLens:
             **kwargs,
         )
 
-    def _pick_drift_sample(self, sample_size: int, seed: int):
+    def _pick_sample(self, sample_size: int, seed: int):
         """Deterministic replicated-vertex sample → replica locations.
 
         Returns ``(gids, [(machine, local_idx), ...] per gid)``; empty
@@ -284,17 +301,6 @@ class CoherencyLens:
     # ------------------------------------------------------------------
     # Measurements (all read-only)
     # ------------------------------------------------------------------
-    def _pending_mass(self, rt, mask: Optional[np.ndarray] = None) -> float:
-        sel = rt.has_delta if mask is None else (rt.has_delta & mask)
-        idx = np.flatnonzero(sel)
-        if idx.size == 0:
-            return 0.0
-        return self.algebra.magnitude(rt.delta_msg[idx])
-
-    def _pending_count(self, rt, mask: Optional[np.ndarray] = None) -> int:
-        sel = rt.has_delta if mask is None else (rt.has_delta & mask)
-        return int(np.count_nonzero(sel))
-
     def sample_drift(self) -> float:
         """Max |master − mirror| value gap over the deterministic sample."""
         gids, locations = self._sample
@@ -361,10 +367,11 @@ class CoherencyLens:
             drift_values = [(slot, float(vals[li])) for slot, li in mine]
         else:
             drift_values = []
+        mass, pending = pending_delta(rt, self.algebra)
         return ProbeSample(
             machine=mi,
-            mass=self._pending_mass(rt),
-            pending=self._pending_count(rt),
+            mass=mass,
+            pending=pending,
             active=rt.num_active,
             stale_counts=counts,
             drift_values=drift_values,
@@ -450,8 +457,9 @@ class CoherencyLens:
             )
             return
         # ---- legacy direct global read (the shard-equivalence oracle)
-        masses = [self._pending_mass(rt) for rt in self.runtimes]
-        pending = [self._pending_count(rt) for rt in self.runtimes]
+        readings = [pending_delta(rt, self.algebra) for rt in self.runtimes]
+        masses = [mass for mass, _ in readings]
+        pending = [count for _, count in readings]
         total_mass = float(sum(masses))
         stale_max = 0
         for ages, rt in zip(self._ages, self.runtimes):
@@ -548,8 +556,9 @@ class CoherencyLens:
                 mask = None
             else:
                 mask = due(rt) | (rt.mg.num_replicas == 1)
-            mass_after += self._pending_mass(rt, mask)
-            count_after += self._pending_count(rt, mask)
+            mass, count = pending_delta(rt, self.algebra, mask)
+            mass_after += mass
+            count_after += count
         ok = count_after == 0 and mass_after == 0.0
         if not ok:
             self.invariant_breaks += 1

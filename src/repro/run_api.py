@@ -115,7 +115,7 @@ def run(
         The coherency policy: a registered name
         (:func:`repro.policy_names` — ``"paper"``, ``"staleness"``,
         ``"batched"``, …) or a :class:`~repro.core.policy.CoherencyPolicy`
-        instance. Collapses the controller choice, interval model, wire
+        instance. Collapses the controller choice and its options, wire
         mode and ``max_delta_age`` into one value; lazy engines only.
         Default: the ``"paper"`` policy (bit-identical to the paper's
         rule). The pre-PR-10 ``interval=``/``coherency_mode=`` keywords

@@ -173,8 +173,8 @@ class RunConfig:
                 kwargs["max_delta_age"] = pol.max_delta_age
         elif explicit and strict_policy:
             raise ConfigError(
-                f"engine {spec.name!r} does not take an interval model / "
-                f"coherency policy (replicas are eagerly coherent)"
+                f"engine {spec.name!r} does not take a coherency policy / "
+                f"interval rule (replicas are eagerly coherent)"
             )
         if "lens" in spec.options:
             kwargs["lens"] = dict(self.lens_opts) if self.lens_opts else self.lens

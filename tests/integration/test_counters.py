@@ -60,10 +60,11 @@ class TestLazyEngineCosts:
         assert r.stats.local_iterations > 0
 
     def test_never_model_disables_local_stages(self, pg):
-        from repro.core import NeverLazyModel
+        from repro.core import get_policy
 
         r = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0), interval_model=NeverLazyModel()
+            pg, SSSPProgram(0),
+            controller=get_policy("never").make_controller(),
         ).run()
         assert r.stats.local_iterations == 0
 

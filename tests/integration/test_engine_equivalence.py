@@ -22,7 +22,7 @@ from repro.algorithms import (
     pagerank_reference,
     sssp_reference,
 )
-from repro.core import LazyBlockAsyncEngine, build_lazy_graph, make_interval_model
+from repro.core import LazyBlockAsyncEngine, build_lazy_graph, get_policy
 from repro.errors import AlgorithmError
 from repro.runtime.registry import engine_specs
 
@@ -126,12 +126,18 @@ class TestEveryCoherencyMode:
         assert_matches(result, kcore_reference(er_symmetric, 4))
 
 
+def _interval_rule(interval):
+    """The controller for one Fig 8(a) interval strategy."""
+    policy = "paper" if interval == "adaptive" else interval
+    return get_policy(policy).make_controller()
+
+
 @pytest.mark.parametrize("interval", ["adaptive", "simple", "never"])
 class TestEveryIntervalStrategy:
     def test_sssp(self, er_weighted, interval):
         pg = build_lazy_graph(er_weighted, 6, seed=1)
         result = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0), interval_model=make_interval_model(interval)
+            pg, SSSPProgram(0), controller=_interval_rule(interval)
         ).run()
         assert_matches(result, sssp_reference(er_weighted, 0))
 
@@ -139,7 +145,7 @@ class TestEveryIntervalStrategy:
         pg = build_lazy_graph(er_symmetric, 6, seed=1)
         result = LazyBlockAsyncEngine(
             pg, ConnectedComponentsProgram(),
-            interval_model=make_interval_model(interval),
+            controller=_interval_rule(interval),
         ).run()
         assert_matches(result, cc_reference(er_symmetric))
 

@@ -231,13 +231,23 @@ class TestPolicyCli:
                  "--interval", "simple"]
             )
 
-    def test_policy_opt_interval_replaces_the_flag(self):
+    def test_named_strawman_policy_replaces_the_flag(self):
         rc = main(
             ["run", "--graph", "road-ca-mini", "--algorithm",
              "pagerank", "--machines", "4", "--engine", "lazy-block",
-             "--policy-opt", "interval=simple"]
+             "--policy", "simple"]
         )
         assert rc == 0
+
+    def test_policy_opt_interval_is_rejected(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="'interval'"):
+            main(
+                ["run", "--graph", "road-ca-mini", "--algorithm",
+                 "pagerank", "--machines", "4", "--engine", "lazy-block",
+                 "--policy-opt", "interval=simple"]
+            )
 
     def test_policy_rejected_on_eager_engine(self):
         from repro.errors import ConfigError

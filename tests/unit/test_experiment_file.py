@@ -107,6 +107,13 @@ class TestPolicyFields:
         with pytest.raises(ConfigError, match="policy_opts"):
             load_experiment_file(write(tmp_path, doc))
 
+    def test_removed_interval_key_points_at_the_named_policy(self, tmp_path):
+        doc = {"experiments": [{
+            "graph": "g", "algorithm": "cc", "interval": "simple",
+        }]}
+        with pytest.raises(ConfigError, match='"policy": "simple"'):
+            load_experiment_file(write(tmp_path, doc))
+
     def test_named_policy_drives_the_harness(self, tmp_path):
         from repro.bench.configs import ExperimentConfig
         from repro.bench.harness import run_config

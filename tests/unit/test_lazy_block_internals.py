@@ -7,17 +7,15 @@ import pytest
 
 from repro.algorithms import ConnectedComponentsProgram, SSSPProgram
 from repro.core import (
-    AdaptiveIntervalModel,
+    CoherencyController,
     LazyBlockAsyncEngine,
-    NeverLazyModel,
-    SimpleIntervalModel,
     build_lazy_graph,
+    get_policy,
 )
-from repro.core.interval_model import IntervalModel
 
 
-class RecordingModel(IntervalModel):
-    """Interval model that logs every decision the engine asks for."""
+class RecordingController(CoherencyController):
+    """Controller that logs every lazy-block decision the engine asks for."""
 
     name = "recording"
 
@@ -27,14 +25,19 @@ class RecordingModel(IntervalModel):
         self._decide = decide
         self._budget = budget
 
-    def turn_on_lazy(self, ev_ratio, trend):
-        out = self._decide(ev_ratio, trend)
-        self.calls.append((ev_ratio, trend, out))
+    def turn_on_lazy(self, signals):
+        out = self._decide(signals.ev_ratio, signals.trend)
+        self.calls.append((signals.ev_ratio, signals.trend, out))
         return out
 
     def local_budget(self, first_iteration_time):
         self.budgets.append(first_iteration_time)
         return self._budget
+
+
+def _strategy(name):
+    """A fresh controller for one Fig 8(a) interval strategy."""
+    return get_policy("paper" if name == "adaptive" else name).make_controller()
 
 
 @pytest.fixture()
@@ -44,23 +47,23 @@ def pg(er_weighted):
 
 class TestIntervalIntegration:
     def test_model_consulted_each_coherency_point(self, pg):
-        model = RecordingModel()
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        model = RecordingController()
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=model)
         eng.run()
         # one decision per non-final coherency point
         assert len(model.calls) == eng.sim.stats.coherency_points - 1
 
     def test_ev_ratio_passed_through(self, pg):
-        model = RecordingModel()
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        model = RecordingController()
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=model)
         eng.run()
         evs = {round(c[0], 6) for c in model.calls}
         assert evs == {round(pg.graph.ev_ratio, 6)}
 
     def test_first_iteration_never_lazy(self, pg):
         """Paper §4.2.1 point 3: iteration 1 has no local stage."""
-        model = RecordingModel()
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        model = RecordingController()
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=model)
         eng.run()
         # the engine ran at least one local iteration overall, but only
         # after the first coherency point consulted the model
@@ -69,28 +72,28 @@ class TestIntervalIntegration:
         assert model.calls[0][1] == 0.0
 
     def test_trends_reflect_active_counts(self, pg):
-        model = RecordingModel(decide=lambda ev, t: False)  # never lazy
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        model = RecordingController(decide=lambda ev, t: False)  # never lazy
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=model)
         eng.run()
         trends = [t for _, t, _ in model.calls]
         # trends are finite and bounded by definition (≤ 1)
         assert all(t <= 1.0 for t in trends)
 
     def test_budget_measured_from_first_micro_iteration(self, pg):
-        model = RecordingModel(budget=math.inf)
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        model = RecordingController(budget=math.inf)
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=model)
         eng.run()
         assert model.budgets, "local stages ran: budgets must be sampled"
         assert all(b > 0 for b in model.budgets)
 
     def test_zero_budget_means_single_iteration_stages(self, pg):
         """A zero budget stops every stage after its first sweep."""
-        tiny = RecordingModel(budget=0.0)
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=tiny)
+        tiny = RecordingController(budget=0.0)
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=tiny)
         eng.run()
         stats_tiny = eng.sim.stats
-        big = RecordingModel(budget=math.inf)
-        eng2 = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=big)
+        big = RecordingController(budget=math.inf)
+        eng2 = LazyBlockAsyncEngine(pg, SSSPProgram(0), controller=big)
         eng2.run()
         # unbounded stages pack strictly more local iterations per sync
         ratio_tiny = stats_tiny.local_iterations / stats_tiny.global_syncs
@@ -103,17 +106,19 @@ class TestIntervalIntegration:
 class TestStrategiesDiffer:
     def test_never_equals_zero_local_iterations(self, pg):
         eng = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0), interval_model=NeverLazyModel()
+            pg, SSSPProgram(0), controller=_strategy("never")
         )
         eng.run()
         assert eng.sim.stats.local_iterations == 0
 
     def test_simple_packs_most_local_work(self, pg):
         results = {}
-        for model in (NeverLazyModel(), AdaptiveIntervalModel(), SimpleIntervalModel()):
-            eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        for name in ("never", "adaptive", "simple"):
+            eng = LazyBlockAsyncEngine(
+                pg, SSSPProgram(0), controller=_strategy(name)
+            )
             eng.run()
-            results[model.name] = eng.sim.stats
+            results[eng.controller.rule_name] = eng.sim.stats
         assert (
             results["never"].global_syncs
             >= results["adaptive"].global_syncs
@@ -123,10 +128,8 @@ class TestStrategiesDiffer:
     def test_all_strategies_same_answer(self, pg):
         values = []
         for name in ("never", "adaptive", "simple"):
-            from repro.core import make_interval_model
-
             eng = LazyBlockAsyncEngine(
-                pg, SSSPProgram(0), interval_model=make_interval_model(name)
+                pg, SSSPProgram(0), controller=_strategy(name)
             )
             values.append(eng.run().values)
         a = np.nan_to_num(values[0], posinf=1e18)

@@ -1,24 +1,25 @@
 """Unit tests for the coherency-controller layer (repro.core.policy)."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import repro.core.policy as policy_mod
-from repro.core.interval_model import AdaptiveIntervalModel, NeverLazyModel
 from repro.core.policy import (
+    STRAWMAN_RULES,
     BatchedController,
     CoherencyPolicy,
     CoherencySignals,
     ExchangeDirective,
     PaperRuleController,
-    SignalTap,
     StalenessController,
     controller_names,
     get_policy,
     make_controller,
     policy_names,
+    read_signals,
     register_policy,
     resolve_policy,
 )
@@ -40,7 +41,7 @@ class TestCoherencySignals:
         assert inputs["staleness_max"] == 2
         assert set(inputs) == {
             "ev_ratio", "trend", "active", "pending_mass",
-            "pending_replicas", "staleness_max", "drift_sample",
+            "pending_replicas", "staleness_max",
         }
 
     def test_extended_signals_default_to_zero(self):
@@ -53,8 +54,11 @@ class TestCoherencySignals:
 class TestPaperRuleController:
     def test_delegates_to_the_interval_model(self):
         c = PaperRuleController()
-        assert isinstance(c.interval_model, AdaptiveIntervalModel)
+        # the paper's learned numbers are the controller's defaults
+        assert (c.ev_threshold, c.trend_threshold, c.budget_multiplier) \
+            == (10.0, 0.07, 3.0)
         assert c.rule_name == "adaptive"
+        assert c.local_budget(0.5) == pytest.approx(1.5)
         assert c.needs_signals is False
         # the paper rule: E/V <= 10 turns lazy mode on
         assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
@@ -65,9 +69,13 @@ class TestPaperRuleController:
         assert d == ExchangeDirective(True, 3, "max-delta-age")
 
     def test_custom_interval_model_names_the_rule(self):
-        c = PaperRuleController(NeverLazyModel())
+        c = PaperRuleController(**STRAWMAN_RULES["never"])
         assert c.rule_name == "never"
         assert c.turn_on_lazy(_signals(ev_ratio=1.0)) is False
+        assert PaperRuleController(**STRAWMAN_RULES["simple"]).rule_name \
+            == "simple"
+        # other settings of the three numbers keep the paper rule's label
+        assert PaperRuleController(ev_threshold=5.0).rule_name == "adaptive"
 
 
 class TestStalenessController:
@@ -108,6 +116,13 @@ class TestStalenessController:
     def test_requests_the_extended_signals(self):
         assert StalenessController.needs_signals is True
 
+    def test_inherits_the_paper_rule_options(self):
+        c = StalenessController(mass_floor=0.25, ev_threshold=5.0)
+        assert (c.ev_threshold, c.mass_floor) == (5.0, 0.25)
+        assert c.local_budget(1.0) == 3.0
+        # decisions keep the controller's own label
+        assert c.rule_name == "staleness"
+
 
 class TestBatchedController:
     def test_accumulates_until_the_oldest_delta_is_due(self):
@@ -121,6 +136,8 @@ class TestBatchedController:
         c = BatchedController()
         assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
         assert c.turn_on_lazy(_signals(ev_ratio=50.0, trend=0.0)) is False
+        assert c.local_budget(1.0) == 3.0
+        assert c.rule_name == "batched"
 
 
 class TestMakeController:
@@ -141,13 +158,18 @@ class TestMakeController:
     def test_options_forwarded(self):
         c = make_controller("staleness", mass_floor=0.25)
         assert c.mass_floor == 0.25
+        c = make_controller("paper", budget_multiplier=2.0)
+        assert c.local_budget(1.0) == 2.0
 
 
 class TestCoherencyPolicy:
     def test_defaults_mirror_the_paper(self):
         pol = CoherencyPolicy()
-        assert (pol.controller, pol.interval, pol.mode, pol.max_delta_age) \
-            == ("paper", "adaptive", "dynamic", 3)
+        assert (pol.controller, pol.mode, pol.max_delta_age, pol.options) \
+            == ("paper", "dynamic", 3, ())
+        assert [f.name for f in dataclasses.fields(pol)] == [
+            "controller", "mode", "max_delta_age", "options",
+        ]
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="controller"):
@@ -187,6 +209,16 @@ class TestCoherencyPolicy:
         with pytest.raises(ConfigError, match="numeric"):
             CoherencyPolicy().apply_opts({"mass_floor": "lots"})
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", 2.5, None])
+    def test_apply_opts_rejects_non_integer_max_delta_age(self, value):
+        with pytest.raises(ConfigError, match="'max_delta_age'"):
+            CoherencyPolicy().apply_opts({"max_delta_age": value})
+
+    def test_apply_opts_accepts_integral_max_delta_age(self):
+        for value in ("4", 4, 4.0):
+            pol = CoherencyPolicy().apply_opts({"max_delta_age": value})
+            assert pol.max_delta_age == 4
+
     def test_to_dict_round_trips_names(self):
         pol = CoherencyPolicy(controller="batched", max_delta_age=4)
         d = pol.to_dict()
@@ -200,7 +232,13 @@ class TestPolicyRegistry:
         assert {"paper", "simple", "never", "staleness", "batched"} <= set(
             policy_names()
         )
-        assert get_policy("never").interval == "never"
+        for name, rule in STRAWMAN_RULES.items():
+            pol = get_policy(name)
+            # the strawmen are settings of the paper rule's numbers
+            assert pol.controller == "paper"
+            assert dict(pol.options) == rule
+            assert pol.make_controller().rule_name == name
+        assert get_policy("paper").make_controller().rule_name == "adaptive"
         assert get_policy("batched").controller == "batched"
 
     def test_unknown_policy_rejected(self):
@@ -237,7 +275,7 @@ class TestResolvePolicy:
         assert explicit is True
 
     def test_removed_interval_raises_with_migration_hint(self):
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
+        with pytest.raises(ConfigError, match='use policy="simple"'):
             resolve_policy(interval="never")
 
     def test_removed_mode_raises_with_migration_hint(self):
@@ -249,7 +287,7 @@ class TestResolvePolicy:
             resolve_policy(max_delta_age=4)
 
 
-class TestSignalTap:
+class TestReadSignals:
     @pytest.fixture(scope="class")
     def tap_setup(self):
         from repro.algorithms import make_program
@@ -265,15 +303,13 @@ class TestSignalTap:
 
     def test_quiet_cluster_reads_zero(self, tap_setup):
         rts, pg, prog = tap_setup
-        tap = SignalTap(rts, pg, prog)
-        s = tap.read(0, pg.graph.ev_ratio, 0.0, 0)
+        s = read_signals(rts, prog.algebra, 0, pg.graph.ev_ratio, 0.0, 0)
         assert s.pending_mass == 0.0
         assert s.pending_replicas == 0
         assert s.staleness_max == 0
 
     def test_pending_deltas_are_measured(self, tap_setup):
         rts, pg, prog = tap_setup
-        tap = SignalTap(rts, pg, prog)
         rt = rts[0]
         rt.delta_msg[:3] = 2.0
         rt.has_delta[:3] = True
@@ -281,20 +317,15 @@ class TestSignalTap:
                 for r in rts]
         ages[0][:3] = 4
         try:
-            s = tap.read(1, pg.graph.ev_ratio, 0.0, 3, ages=ages)
+            s = read_signals(
+                rts, prog.algebra, 1, pg.graph.ev_ratio, 0.0, 3, ages=ages
+            )
             assert s.pending_mass == pytest.approx(6.0)
             assert s.pending_replicas == 3
             assert s.staleness_max == 4
         finally:
             rt.delta_msg[:3] = prog.algebra.identity
             rt.has_delta[:3] = False
-
-    def test_drift_sample_is_deterministic(self, tap_setup):
-        rts, pg, prog = tap_setup
-        a = SignalTap(rts, pg, prog)
-        b = SignalTap(rts, pg, prog)
-        assert a._locations == b._locations
-        assert a.drift_sample() == b.drift_sample()
 
 
 class TestShimRemoval:
@@ -308,7 +339,7 @@ class TestShimRemoval:
     def test_interval_kwarg_is_a_config_error(self):
         from repro.run_api import run
 
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
+        with pytest.raises(ConfigError, match='use policy="simple"'):
             run("road-ca-mini", "pagerank", engine="lazy-block",
                 machines=4, seed=0, interval="simple")
 
@@ -319,13 +350,13 @@ class TestShimRemoval:
             run("road-ca-mini", "cc", engine="lazy-vertex",
                 machines=4, seed=0, coherency_mode="a2a")
 
-    def test_policy_interval_spelling_runs(self):
+    def test_named_strawman_policy_runs(self):
         from repro.run_api import run
 
         r = run("road-ca-mini", "pagerank", engine="lazy-block",
-                machines=4, seed=0,
-                policy=CoherencyPolicy(interval="simple"))
+                machines=4, seed=0, policy="simple")
         assert r.stats.supersteps > 0
+        assert r.stats.local_iterations > 0
 
     def test_default_run_equals_explicit_paper_policy(self):
         from repro.run_api import run

@@ -87,7 +87,7 @@ class TestEngineKwargs:
 
 class TestRemovedKnobs:
     def test_from_kwargs_rejects_removed_interval(self):
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
+        with pytest.raises(ConfigError, match='use policy="simple"'):
             RunConfig.from_kwargs(interval="simple")
 
     def test_with_overrides_rejects_removed_mode(self):
@@ -114,10 +114,11 @@ class TestExperimentConfigBridge:
     def test_policy_opts_alone_overlay_the_paper_policy(self):
         rc = ExperimentConfig(
             graph="road-ca-mini", algorithm="cc",
-            policy_opts={"interval": "simple", "mode": "a2a"},
+            policy_opts={"ev_threshold": 5, "mode": "a2a"},
         ).to_run_config()
         assert isinstance(rc.policy, CoherencyPolicy)
-        assert rc.policy.interval == "simple"
+        assert rc.policy.controller == "paper"
+        assert rc.policy.options == (("ev_threshold", 5.0),)
         assert rc.policy.mode == "a2a"
 
     def test_no_policy_means_engine_default(self):
