@@ -77,7 +77,7 @@ class ExperimentConfig:
     seed: int = 0
     lens: bool = False
     #: CoherencyLens keyword overrides (sample_size / seed / rollup_after
-    #: / rollup_every / sharded); a non-empty dict implies ``lens``.
+    #: / rollup_every); a non-empty dict implies ``lens``.
     lens_opts: Dict = field(default_factory=dict)
     #: Named coherency policy (see :func:`repro.policy_names`), default
     #: the ``"paper"`` policy on lazy engines; ``policy_opts`` overlays

@@ -15,7 +15,7 @@ reconciles channel-by-channel against :class:`RunStats`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.network import CommMode
 from repro.comms.channels import CONTROL, Channel, Delivery
@@ -32,10 +32,6 @@ class ExchangePlane:
         self.sim = sim
         self.tracer = tracer
         self._channels: Dict[str, Channel] = {}
-        #: Per-superstep ledger snapshots (filled by :meth:`snapshot`,
-        #: driven by the coherency lens); cumulative counters, so the
-        #: per-superstep traffic of a channel is the first difference.
-        self.timeline: List[Dict[str, Any]] = []
         #: Control plane: termination probes and barrier-only syncs.
         self.control = self.open(CONTROL, CONTROL_SCHEMA, Delivery.BSP)
 
@@ -74,15 +70,15 @@ class ExchangePlane:
 
     # ------------------------------------------------------------------
     def snapshot(self, superstep: int) -> Dict[str, Any]:
-        """Append one per-channel ledger snapshot to :attr:`timeline`.
+        """One per-channel ledger snapshot (the lens's ``channel-ledger``).
 
         Returns ``{"superstep": n, <channel>: {bytes, messages, rounds,
-        syncs}, ...}`` with every counter cumulative since run start.
+        syncs}, ...}`` with every counter cumulative since run start, so
+        a channel's per-superstep traffic is the first difference.
         """
         entry: Dict[str, Any] = {"superstep": int(superstep)}
         for ch in self._channels.values():
             entry[ch.name] = ch.counters()
-        self.timeline.append(entry)
         return entry
 
     def totals(self) -> Dict[str, float]:

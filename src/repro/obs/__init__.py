@@ -51,7 +51,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.shards import MachineCollector, ProbeSample, ShardedObs
+from repro.obs.shards import MachineCollector, ShardedObs
 from repro.obs.report import (
     TraceData,
     format_report,
@@ -109,7 +109,6 @@ __all__ = [
     "format_analysis",
     "MachineCollector",
     "ShardedObs",
-    "ProbeSample",
     "CoherencyLens",
     "CoherencyDecision",
     "NullLens",

@@ -40,6 +40,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = [
     "CoherencyDecision",
     "CoherencyLens",
@@ -159,8 +161,8 @@ class CoherencyLens:
         ``stats.extra``.
     plane:
         The engine's :class:`~repro.comms.ExchangePlane`; each probe
-        snapshots the per-channel ledgers into the plane timeline and a
-        ``channel-ledger`` instant so traffic lines up with decisions.
+        snapshots the per-channel ledgers into a ``channel-ledger``
+        instant so traffic lines up with decisions.
     sample_size / seed:
         Deterministic master↔mirror drift sample: up to ``sample_size``
         replicated vertices drawn with a seeded generator.
@@ -171,15 +173,11 @@ class CoherencyLens:
         histograms and the decision audit log always stay complete —
         only the instant *timeline* is sampled, so the LensAuditor's
         decision/coherency reconciliation is unaffected.
-    sharded:
-        ``True`` (default) routes each probe through per-machine
-        :class:`~repro.obs.shards.ProbeSample` payloads folded at the
-        merge point — the process-parallel-ready discipline. ``False``
-        keeps the legacy direct global read; both are bit-identical
-        (asserted by the shard-equivalence tests).
     """
 
     enabled = True
+    #: The keyword options :meth:`for_engine` accepts (``lens_opts``).
+    OPTIONS = ("sample_size", "seed", "rollup_after", "rollup_every")
 
     def __init__(
         self,
@@ -193,7 +191,6 @@ class CoherencyLens:
         seed: int = 0,
         rollup_after: int = 10_000,
         rollup_every: int = 100,
-        sharded: bool = True,
     ) -> None:
         from repro.obs.tracer import NULL_TRACER
 
@@ -216,11 +213,6 @@ class CoherencyLens:
         self.rollup_after = rollup_after
         self.rollup_every = rollup_every
         self.rolled_up = 0  # probe instants suppressed by the rollup
-        # sharded=True routes each probe through per-machine ProbeSamples
-        # folded machine-ascending (the process-parallel-ready path);
-        # False keeps the legacy direct global read as the equivalence
-        # oracle. Both produce bit-identical metrics and instants.
-        self.sharded = sharded
         self.final_drift: Optional[float] = None
         self.invariant_breaks = 0
         # staleness ages: supersteps each replica's delta has been pending
@@ -229,12 +221,6 @@ class CoherencyLens:
             for rt in self.runtimes
         ]
         self._sample = self._pick_sample(sample_size, seed)
-        # the same sample keyed per machine: machine → [(slot, local idx)]
-        # so a shard probe can read its drift contributions locally
-        self._sample_by_machine: List[List] = [[] for _ in self.runtimes]
-        for slot, locs in enumerate(self._sample[1]):
-            for mi, li in locs:
-                self._sample_by_machine[mi].append((slot, li))
         if stats is not None:
             m = stats.metrics
             self.h_staleness = m.histogram(
@@ -264,7 +250,17 @@ class CoherencyLens:
     # ------------------------------------------------------------------
     @classmethod
     def for_engine(cls, engine, **kwargs) -> "CoherencyLens":
-        """Build a lens wired to a :class:`BaseEngine`'s run objects."""
+        """Build a lens wired to a :class:`BaseEngine`'s run objects.
+
+        ``kwargs`` are the user's lens options; a key outside
+        :attr:`OPTIONS` is a :class:`~repro.errors.ConfigError`.
+        """
+        unknown = sorted(set(kwargs) - set(cls.OPTIONS))
+        if unknown:
+            raise ConfigError(
+                f"unknown lens option(s) {', '.join(map(repr, unknown))}; "
+                f"valid options: {', '.join(cls.OPTIONS)}"
+            )
         return cls(
             engine.runtimes,
             engine.pgraph,
@@ -322,18 +318,9 @@ class CoherencyLens:
 
     def full_drift(self) -> float:
         """Max cross-replica value gap over *all* vertices (finish-time)."""
-        n = self.pgraph.graph.num_vertices
-        lo = np.full(n, np.inf)
-        hi = np.full(n, -np.inf)
-        for rt in self.runtimes:
-            vals = rt.values()
-            gids = rt.mg.vertices
-            np.minimum.at(lo, gids, vals)
-            np.maximum.at(hi, gids, vals)
-        with np.errstate(invalid="ignore"):
-            diff = hi - lo  # ∞−∞ → nan: replicas all at ∞ agree
-        finite = np.isfinite(diff)
-        return float(diff[finite].max()) if finite.any() else 0.0
+        from repro.runtime.result import replica_disagreement
+
+        return replica_disagreement(self.pgraph, self.runtimes)
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -345,118 +332,9 @@ class CoherencyLens:
             ages[rt.has_delta] += 1
             ages[~rt.has_delta] = 0
 
-    def _probe_shard(self, mi: int) -> "ProbeSample":
-        """One machine's probe contribution — reads only machine ``mi``.
-
-        This is the payload a process-parallel machine would ship to the
-        merge point: scalar mass/pending/active readings, the bincount
-        of its live staleness ages, and its values at its slots of the
-        deterministic drift sample.
-        """
-        from repro.obs.shards import ProbeSample
-
-        rt = self.runtimes[mi]
-        ages = self._ages[mi]
-        live = ages[rt.has_delta]
-        counts = (
-            np.bincount(live) if live.size else np.empty(0, dtype=np.int64)
-        )
-        mine = self._sample_by_machine[mi]
-        if mine:
-            vals = rt.values()
-            drift_values = [(slot, float(vals[li])) for slot, li in mine]
-        else:
-            drift_values = []
-        mass, pending = pending_delta(rt, self.algebra)
-        return ProbeSample(
-            machine=mi,
-            mass=mass,
-            pending=pending,
-            active=rt.num_active,
-            stale_counts=counts,
-            drift_values=drift_values,
-        )
-
-    def _merge_drift(self, samples) -> float:
-        """Fold the shards' drift-sample values (legacy op order).
-
-        Per slot, contributions arrive machine-ascending — the same
-        order :meth:`sample_drift`'s location lists were built in — so
-        the min/max folds and the finite-gap comparisons replay the
-        direct path exactly.
-        """
-        nslots = len(self._sample[1])
-        if nslots == 0:
-            return 0.0
-        per_slot: List[List[float]] = [[] for _ in range(nslots)]
-        for s in samples:
-            for slot, v in s.drift_values:
-                per_slot[slot].append(v)
-        worst = 0.0
-        for vals in per_slot:
-            lo = np.inf
-            hi = -np.inf
-            for v in vals:
-                lo = min(lo, v)
-                hi = max(hi, v)
-            gap = hi - lo
-            if np.isfinite(gap) and gap > worst:
-                worst = gap
-        return float(worst)
-
-    def _merge_probe(self, samples) -> None:
-        """Fold per-machine :class:`ProbeSample` payloads into the
-        single-stream outputs, replaying the legacy global-read path's
-        float-operation order bit-for-bit: masses sum machine-ascending,
-        staleness histograms observe per machine in ascending-age order,
-        and drift folds per sample slot in machine order.
-        """
-        masses = [s.mass for s in samples]
-        pending = [s.pending for s in samples]
-        total_mass = float(sum(masses))
-        stale_max = 0
-        for s in samples:
-            counts = s.stale_counts
-            if counts.size:
-                # bincount's top index is the machine's max live age
-                stale_max = max(stale_max, int(counts.size - 1))
-                if self.h_staleness is not None:
-                    for age_value in np.flatnonzero(counts):
-                        self.h_staleness.observe(
-                            float(age_value), int(counts[age_value])
-                        )
-        if self.h_pending is not None:
-            self.h_pending.observe(total_mass)
-        drift = self._merge_drift(samples)
-        if self.g_drift is not None:
-            self.g_drift.set(drift)
-        active = int(sum(s.active for s in samples))
-        tracer = self.tracer
-        if tracer.enabled and not self._instants_due():
-            self.rolled_up += 1
-            return
-        if tracer.enabled:
-            tracer.counter("active_vertices", active)
-            tracer.instant(
-                "lens-probe",
-                superstep=self.superstep,
-                pending_mass=total_mass,
-                pending_replicas=int(sum(pending)),
-                staleness_max=stale_max,
-                drift_max=drift,
-                machine_mass=[float(m) for m in masses],
-            )
-        self._snapshot_channels()
-
     def probe(self) -> None:
         """Per-superstep staleness/divergence gauges (pre-exchange)."""
         self.probes += 1
-        if self.sharded:
-            self._merge_probe(
-                [self._probe_shard(mi) for mi in range(len(self.runtimes))]
-            )
-            return
-        # ---- legacy direct global read (the shard-equivalence oracle)
         readings = [pending_delta(rt, self.algebra) for rt in self.runtimes]
         masses = [mass for mass, _ in readings]
         pending = [count for _, count in readings]
@@ -545,10 +423,7 @@ class CoherencyLens:
         """
         self.exchanges += 1
         full = due is None
-        # per-machine readings folded machine-ascending: each (mass,
-        # count) pair reads one machine's state only, so this path is
-        # already shard-shaped — a process-parallel machine ships the
-        # two scalars and the fold below is the merge
+        # per-machine readings folded machine-ascending
         mass_after = 0.0
         count_after = 0
         for rt in self.runtimes:

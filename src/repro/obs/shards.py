@@ -1,12 +1,12 @@
 """Per-machine observability shards, merged deterministically at barriers.
 
-Today every engine runs inside one process, so the tracer can be written
-to from anywhere and the lens can read any machine's buffers directly.
-That single-stream convenience is exactly what blocks the ROADMAP's
-process-parallel backend: once machines live in their own processes,
-*nothing* may write to the global tracer (or read another machine's
-state) mid-superstep. This module introduces the shard discipline now,
-while the lockstep simulator still makes it testable bit-for-bit:
+The tracer is one stream in the parent process, but under the process
+backend (:mod:`repro.runtime.process_backend`) machine work runs in
+worker processes that cannot write it. This module is the boundary:
+machine-side events are buffered per machine and folded into the tracer
+only at barriers. The lens, the coherency exchanger and the exchange
+plane are not part of it — they stay in the parent and read the
+machines' shared-memory arrays directly.
 
 * :class:`MachineCollector` — one per machine. During a superstep the
   machine's observability events (per-machine work spans, ``sweep-mode``
@@ -33,44 +33,20 @@ merge time carries the same ``model_t0 == model_t1`` and empty charge
 map the inline path recorded.
 
 ``buffered=False`` switches a collector to *passthrough*: every call
-delegates straight to the tracer, which IS the legacy global-write path.
-The shard-equivalence tests run each engine once per mode and assert the
-record streams are identical event-for-event — that oracle is what lets
-the process-parallel backend later swap real IPC under ``merge()``
-without an observability rewrite.
+delegates straight to the tracer, which IS the legacy global-write path
+(and the tracer-off path). The shard-equivalence tests run each engine
+once per mode and assert the record streams are identical
+event-for-event. Process workers run their collectors buffered and ship
+the raw event tuples back with each dispatch reply; the parent appends
+them to its own collectors, so ``merge()`` is unchanged across backends.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-__all__ = ["MachineCollector", "ShardedObs", "ProbeSample"]
-
-
-@dataclass
-class ProbeSample:
-    """One machine's contribution to a lens probe (shippable payload).
-
-    Everything the :class:`~repro.obs.lens.CoherencyLens` needs from one
-    machine per superstep, computed from that machine's state alone:
-    pending ``deltaMsg`` mass and replica count, the active count, the
-    staleness-age bincount of its live deltas, and the machine's values
-    at its slots of the deterministic drift sample (``(slot, value)``
-    pairs). The lens merger folds these machine-ascending, replaying
-    the legacy global-read path's float operations in the same order —
-    which is what keeps the merged metrics and instants bit-identical.
-    """
-
-    machine: int
-    mass: float
-    pending: int
-    active: int
-    #: np.bincount of live staleness ages (length 0 when none pending)
-    stale_counts: Any = None
-    #: [(drift-sample slot, local value), ...] for this machine's replicas
-    drift_values: List[Tuple[int, float]] = field(default_factory=list)
+__all__ = ["MachineCollector", "ShardedObs"]
 
 _SPAN = 0
 _INSTANT = 1

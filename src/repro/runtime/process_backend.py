@@ -11,9 +11,10 @@ be picklable). Machines are assigned round-robin: worker ``r`` owns
 every machine ``m`` with ``m % workers == r`` and builds its own
 :class:`MachineRuntime` / ``_GASMachine`` facades over the *same*
 segments. The parent keeps its runtime facades too — the exchange
-plane, coherency exchanger, lens, and signal taps all keep reading and
-writing the exact arrays the workers compute on, which is why every
-cross-machine code path stays byte-for-byte the serial code path.
+plane, coherency exchanger, lens and the controllers' signal reads all
+keep reading and writing the exact arrays the workers compute on, which
+is why every cross-machine code path stays byte-for-byte the serial
+code path.
 
 Protocol
 --------

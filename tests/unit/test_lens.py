@@ -140,6 +140,19 @@ class TestLensOnEngines:
             run("road-ca-mini", "pagerank", engine="powergraph-sync",
                 machines=4, seed=0, lens=True)
 
+    @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
+    @pytest.mark.parametrize("opts", [{"bogus": 1}, {"sharded": True}])
+    def test_unknown_lens_option_is_a_config_error(self, engine, opts):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError) as err:
+            run("road-ca-mini", "pagerank", engine=engine, machines=4,
+                seed=0, lens_opts=opts)
+        message = str(err.value)
+        assert repr(next(iter(opts))) in message
+        for option in ("sample_size", "seed", "rollup_after", "rollup_every"):
+            assert option in message
+
 
 class TestDriftSampling:
     def test_single_machine_has_no_replicas_to_sample(self):
@@ -169,6 +182,11 @@ class TestDriftSampling:
         gids_b, _ = b.lens._sample
         assert np.array_equal(gids_a, gids_b)
         assert gids_a.size > 0
+
+    def test_final_drift_is_the_replica_disagreement(self):
+        result, _ = _lens_run(algorithm="sssp")
+        assert (result.stats.extra["lens.final_drift"]
+                == result.replica_max_disagreement)
 
     def test_finish_is_idempotent(self):
         result, tracer = _lens_run()
