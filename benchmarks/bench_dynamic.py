@@ -25,8 +25,8 @@ dynamic-smoke job — are equivalence as above plus, per algorithm,
 **≥5× fewer supersteps or ≥3× lower modeled time** summed over the
 stream.
 
-The harness emits the same JSONL event shape as ``repro mutate``
-(``--events PATH``), so ``repro analyze --mutations PATH`` renders the
+The harness writes the same ``repro-mutations`` record file as ``repro
+mutate`` (``--events PATH``), so ``repro analyze PATH`` renders the
 stream, and the report's per-algorithm totals come from the same
 :func:`repro.obs.mutation_report.analyze_mutation_stream` rollup.
 
@@ -42,7 +42,10 @@ import numpy as np
 
 from repro.graph.generators import powerlaw_graph
 from repro.graph.mutation import MutationBatch, apply_batch
-from repro.obs.mutation_report import analyze_mutation_stream
+from repro.obs.mutation_report import (
+    analyze_mutation_stream,
+    write_mutation_stream,
+)
 from repro.session import GraphSession
 
 NUM_VERTICES = 20_000
@@ -216,8 +219,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON report here")
     ap.add_argument(
         "--events", metavar="PATH",
-        help="also write the repro-mutate-shaped JSONL event stream "
-        "(feed to `repro analyze --mutations PATH`)",
+        help="also write the mutation event stream as a repro-mutations "
+        "record file (feed to `repro analyze PATH`)",
     )
     ap.add_argument(
         "--quick", action="store_true",
@@ -238,9 +241,7 @@ def main(argv=None) -> int:
     else:
         print(text)
     if args.events:
-        with open(args.events, "w", encoding="utf-8") as fh:
-            for ev in events:
-                fh.write(json.dumps(ev) + "\n")
+        write_mutation_stream(args.events, events)
         print(f"wrote {args.events}")
     failures = [] if ok else ["acceptance gate failed (see report)"]
     if args.check:

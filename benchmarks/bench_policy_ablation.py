@@ -35,7 +35,7 @@ from repro.algorithms import PageRankDeltaProgram
 from repro.algorithms.reference import pagerank_reference
 from repro.core.policy import get_policy
 from repro.obs.audit import LensAuditor
-from repro.obs.report import trace_from_tracer
+from repro.obs.report import trace_from_records
 from repro.obs.tracer import Tracer
 from repro.run_api import prepare_graph, run
 
@@ -68,7 +68,7 @@ def _measure(engine, policy_name, reference):
         GRAPH, "pagerank", engine=engine, machines=MACHINES,
         policy=policy_name, tracer=tracer, lens=True,
     )
-    trace = trace_from_tracer(tracer)
+    trace = trace_from_records(tracer.records, tracer.meta)
     anomalies = LensAuditor(trace).audit()
     finals = [i for i in trace.instants if i.get("name") == "lens-final"]
     drift = float((finals[-1].get("attrs") or {}).get("drift", 0.0))

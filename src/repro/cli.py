@@ -12,12 +12,15 @@ Mirrors how the paper's toolkits are driven from the shell:
 * ``analyze``  — critical-path / straggler analysis of a recorded trace
   (per-superstep gating machine/channel, load imbalance vs λ);
   ``--serve`` switches to request-waterfall / cost-attribution analysis
-  of a merged serve trace;
+  of a merged serve trace; a ``repro mutate`` stream gets its λ rollup;
 * ``dashboard``— render a recorded trace as an offline HTML dashboard;
 * ``top``      — live (or one-shot) text view of a service telemetry
   file written by ``serve --telemetry-out``;
 * ``slo``      — threshold gate over a telemetry file (p95 latency,
   cache hit rate, queue depth); exits 4 on violation.
+
+The file readers pick their view from the record file's header and exit
+2 with one stderr line on a missing, malformed or wrong-kind file.
 """
 
 from __future__ import annotations
@@ -35,7 +38,42 @@ from repro.bench.reporting import format_series, format_table
 from repro.graph.datasets import dataset_info, dataset_names, load_dataset
 from repro.graph.properties import compute_properties
 from repro.core.policy import get_policy, policy_names
-from repro.obs.sinks import TRACE_FORMATS
+from repro.errors import RecordFileError
+from repro.obs.audit import LensAuditor
+from repro.obs.critical_path import analyze_trace, format_analysis
+from repro.obs.dashboard import render_compare_dashboard, render_dashboard
+from repro.obs.mutation_report import (
+    MUTATIONS_HEADER,
+    analyze_mutation_stream,
+    format_mutation_analysis,
+    write_mutation_stream,
+)
+from repro.obs.report import (
+    format_report,
+    read_record_file,
+    summarize_trace,
+    trace_from_records,
+)
+from repro.obs.request_trace import (
+    analyze_serve_trace,
+    format_serve_analysis,
+    is_serve_trace,
+)
+from repro.obs.sinks import (
+    MUTATIONS_FORMAT,
+    TELEMETRY_FORMAT,
+    TRACE_FORMAT,
+    TRACE_FORMATS,
+    encode_record,
+    expect_format,
+    follow_jsonl,
+)
+from repro.obs.telemetry import (
+    check_slo,
+    format_service_report,
+    format_top,
+    summarize_telemetry,
+)
 from repro.run_api import run
 from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.registry import engine_names
@@ -263,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mut.add_argument(
         "--out", metavar="PATH",
-        help="also write the JSONL events to PATH (analyze with "
-             "'repro analyze --mutations PATH')",
+        help="also write the event stream to PATH as a repro-mutations "
+             "record file (analyze with 'repro analyze PATH')",
     )
 
     p_cmp = sub.add_parser("compare", help="lazy vs PowerGraph Sync")
@@ -310,9 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser(
         "analyze",
-        help="critical-path / straggler analysis of a recorded trace",
+        help="critical-path / straggler analysis of a recorded trace, or "
+             "the re-convergence rollup of a mutation stream",
     )
-    p_ana.add_argument("trace", help="trace file written by run --trace-out")
+    p_ana.add_argument(
+        "trace", help="trace (run --trace-out) or mutation stream "
+                      "(mutate --out) file",
+    )
     p_ana.add_argument(
         "--json", action="store_true",
         help="print the full analysis as JSON instead of text",
@@ -335,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-id", type=int, metavar="N",
         help="narrow a merged serve trace to engine run N before the "
              "critical-path analysis (run ids: analyze --serve)",
-    )
-    p_ana.add_argument(
-        "--mutations", action="store_true",
-        help="analyze a mutation-stream JSONL (repro mutate --out / "
-             "bench_dynamic): supersteps-to-reconverge and lambda drift "
-             "per applied batch",
     )
 
     p_rep = sub.add_parser(
@@ -724,7 +760,7 @@ def _cmd_mutate(args) -> int:
 
     def emit(event):
         events.append(event)
-        print(json.dumps(event))
+        print(encode_record(event))
 
     def run_record(result, mode):
         rec = {
@@ -747,6 +783,7 @@ def _cmd_mutate(args) -> int:
         partitioner=args.partitioner, seed=args.seed,
         repartition_threshold=args.repartition_threshold,
     )
+    print(encode_record(MUTATIONS_HEADER))
     with session:
         if args.algorithm:
             baseline = session.run(
@@ -770,9 +807,7 @@ def _cmd_mutate(args) -> int:
                     rec["cold_modeled_time_s"] = cold.stats.modeled_time_s
                 emit(rec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
+        write_mutation_stream(args.out, events)
         print(f"mutation stream written to {args.out}", file=sys.stderr)
     return 0
 
@@ -951,21 +986,25 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from repro.obs.audit import LensAuditor
-    from repro.obs.report import format_report, load_trace, summarize_trace
-    from repro.obs.telemetry import (
-        format_service_report,
-        is_telemetry_file,
-        load_telemetry,
-        summarize_telemetry,
-    )
+def _read_records(path: str, *formats: str):
+    """``(format, header, records)``; a bad file raises RecordFileError."""
+    try:
+        header, records = read_record_file(path)
+    except (OSError, UnicodeError) as exc:
+        raise RecordFileError(
+            f"{path}: {getattr(exc, 'strerror', None) or exc}"
+        ) from None
+    return expect_format(path, header, formats), header, records
 
-    if is_telemetry_file(args.trace):
-        summary = summarize_telemetry(load_telemetry(args.trace))
-        print(format_service_report(summary))
+
+def _cmd_report(args) -> int:
+    fmt, header, records = _read_records(
+        args.trace, TRACE_FORMAT, TELEMETRY_FORMAT
+    )
+    if fmt == TELEMETRY_FORMAT:
+        print(format_service_report(summarize_telemetry(header, records)))
         return 0
-    trace = load_trace(args.trace)
+    trace = trace_from_records(records)
     print(format_report(summarize_trace(trace)))
     untracked = trace.meta.get("untracked_charges") or {}
     if sum(untracked.values()) > 0:
@@ -992,45 +1031,17 @@ def _cmd_report(args) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    from repro.obs.critical_path import analyze_trace, format_analysis
-    from repro.obs.report import load_trace
-
-    if getattr(args, "mutations", False):
-        from repro.obs.mutation_report import (
-            analyze_mutation_stream,
-            format_mutation_analysis,
-            is_mutation_stream,
-            load_mutation_stream,
-        )
-
-        events = load_mutation_stream(args.trace)
-        if not is_mutation_stream(events):
-            print(
-                f"analyze --mutations: {args.trace} has no apply events "
-                f"(write one with 'repro mutate --out')",
-                file=sys.stderr,
-            )
-            return 2
-        analysis = analyze_mutation_stream(events)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(analysis, fh, indent=2, sort_keys=True)
-        if args.json:
-            print(json.dumps(analysis, indent=2, sort_keys=True))
-        else:
-            print(format_mutation_analysis(analysis, max_rows=args.max_rows))
-        if args.json_out:
-            print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
-        return 0
-
-    if getattr(args, "serve", False):
-        from repro.obs.request_trace import (
-            analyze_serve_trace,
-            format_serve_analysis,
-            is_serve_trace,
-        )
-
-        trace = load_trace(args.trace)
+    # --serve and --run-id are views of a (serve) trace; otherwise the
+    # file's header picks the trace or mutation-stream analysis
+    trace_only = args.serve or args.run_id is not None
+    formats = (TRACE_FORMAT,) if trace_only else (TRACE_FORMAT, MUTATIONS_FORMAT)
+    fmt, _, records = _read_records(args.trace, *formats)
+    exact = True
+    if fmt == MUTATIONS_FORMAT:
+        analysis = analyze_mutation_stream(records)
+        render = format_mutation_analysis
+    elif args.serve:
+        trace = trace_from_records(records)
         if not is_serve_trace(trace):
             print(
                 f"analyze --serve: {args.trace} has no serve.request "
@@ -1039,58 +1050,51 @@ def _cmd_analyze(args) -> int:
             )
             return 2
         analysis = analyze_serve_trace(trace)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(analysis, fh, indent=2, sort_keys=True)
-        if args.json:
-            print(json.dumps(analysis, indent=2, sort_keys=True))
-        else:
-            print(format_serve_analysis(analysis, max_rows=args.max_rows))
-        if args.json_out:
-            print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
+        render = format_serve_analysis
         totals = analysis["totals"]
-        if not (totals["latency_exact"] and totals["attribution_exact"]):
-            print(
-                "analyze --serve: exactness check FAILED (latency or "
-                "cost attribution does not reconstruct)",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
-
-    analysis = analyze_trace(
-        load_trace(args.trace), run_id=getattr(args, "run_id", None)
-    )
+        exact = totals["latency_exact"] and totals["attribution_exact"]
+    else:
+        analysis = analyze_trace(
+            trace_from_records(records), run_id=args.run_id
+        )
+        render = format_analysis
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(analysis, fh, indent=2, sort_keys=True)
     if args.json:
         print(json.dumps(analysis, indent=2, sort_keys=True))
     else:
-        print(format_analysis(analysis, max_rows=args.max_rows))
+        print(render(analysis, max_rows=args.max_rows))
     if args.json_out:
         print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
+    if not exact:
+        print(
+            "analyze --serve: exactness check FAILED (latency or "
+            "cost attribution does not reconstruct)",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 
 def _cmd_dashboard(args) -> int:
-    from repro.obs.dashboard import render_compare_dashboard, render_dashboard
-    from repro.obs.report import load_trace
-
     if args.compare and args.trace:
         print("dashboard: give either a trace or --compare, not both",
               file=sys.stderr)
         return 2
-    if args.compare:
-        labels = args.labels or [os.path.basename(p) for p in args.compare]
-        traces = [load_trace(p) for p in args.compare]
-        html_doc = render_compare_dashboard(traces, labels)
-    elif args.trace:
-        html_doc = render_dashboard(load_trace(args.trace))
-    else:
+    if not (args.compare or args.trace):
         print("dashboard: a trace file or --compare A B is required",
               file=sys.stderr)
         return 2
+    traces = [
+        trace_from_records(_read_records(p, TRACE_FORMAT)[2])
+        for p in args.compare or [args.trace]
+    ]
+    if args.compare:
+        labels = args.labels or [os.path.basename(p) for p in args.compare]
+        html_doc = render_compare_dashboard(traces, labels)
+    else:
+        html_doc = render_dashboard(traces[0])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(html_doc)
     print(f"dashboard written to {args.out} ({len(html_doc)} bytes)")
@@ -1098,30 +1102,16 @@ def _cmd_dashboard(args) -> int:
 
 
 def _cmd_top(args) -> int:
-    from repro.obs.telemetry import (
-        format_top,
-        is_telemetry_file,
-        iter_follow,
-        load_telemetry,
-    )
-
-    if not is_telemetry_file(args.telemetry):
-        print(
-            f"top: {args.telemetry} is not a service telemetry file "
-            f"(write one with 'repro serve --telemetry-out')",
-            file=sys.stderr,
-        )
-        return 2
+    _, header, ticks = _read_records(args.telemetry, TELEMETRY_FORMAT)
     if not args.follow:
-        data = load_telemetry(args.telemetry)
-        if not data["ticks"]:
+        if not ticks:
             print("top: no telemetry ticks yet", file=sys.stderr)
             return 1
-        print(format_top(data["ticks"][-1], data["header"]))
+        print(format_top(ticks[-1], header))
         return 0
     seen = 0
     try:
-        for tick in iter_follow(args.telemetry):
+        for tick in follow_jsonl(args.telemetry):
             print(format_top(tick))
             print()
             seen += 1
@@ -1133,18 +1123,7 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_slo(args) -> int:
-    from repro.obs.telemetry import (
-        check_slo,
-        is_telemetry_file,
-        load_telemetry,
-    )
-
-    if not is_telemetry_file(args.telemetry):
-        print(
-            f"slo: {args.telemetry} is not a service telemetry file",
-            file=sys.stderr,
-        )
-        return 2
+    _, _, ticks = _read_records(args.telemetry, TELEMETRY_FORMAT)
     if (
         args.p95_ms is None
         and args.min_hit_rate is None
@@ -1157,7 +1136,7 @@ def _cmd_slo(args) -> int:
         )
         return 2
     violations = check_slo(
-        load_telemetry(args.telemetry),
+        ticks,
         p95_ms=args.p95_ms,
         min_hit_rate=args.min_hit_rate,
         max_queue_depth=args.max_queue_depth,
@@ -1200,7 +1179,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except RecordFileError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -84,16 +84,20 @@ class LazyBlockAsyncEngine(BaseEngine):
             backend=backend, plans=plans,
         )
         self.controller = controller or PaperRuleController()
-        if lens:
-            # lens may be True or a dict of CoherencyLens kwargs
-            # (sample_size/seed/rollup_after/rollup_every)
-            opts = lens if isinstance(lens, dict) else {}
-            self.lens = CoherencyLens.for_engine(self, **opts)
-        self.exchanger = CoherencyExchanger(
-            pgraph, program, self.runtimes, coherency_mode, self.sim.network,
-            tracer=self.tracer, plane=self.comms, delivery=Delivery.BSP,
-            lens=self.lens,
-        )
+        try:
+            if lens:
+                # lens may be True or a dict of CoherencyLens kwargs
+                # (sample_size/seed/rollup_after/rollup_every)
+                opts = lens if isinstance(lens, dict) else {}
+                self.lens = CoherencyLens.for_engine(self, **opts)
+            self.exchanger = CoherencyExchanger(
+                pgraph, program, self.runtimes, coherency_mode,
+                self.sim.network, tracer=self.tracer, plane=self.comms,
+                delivery=Delivery.BSP, lens=self.lens,
+            )
+        except BaseException:
+            self.backend.close()  # release the workers bound in super()
+            raise
 
     # ------------------------------------------------------------------
     def _local_micro_iteration(self, stage=None) -> "tuple[bool, float]":

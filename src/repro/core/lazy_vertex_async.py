@@ -81,25 +81,29 @@ class LazyVertexAsyncEngine(BaseEngine):
         backend=None,
         plans=None,
     ) -> None:
+        if max_delta_age < 1:
+            raise EngineError(f"max_delta_age must be >= 1, got {max_delta_age}")
         super().__init__(
             pgraph, program, network, max_supersteps, trace, tracer,
             backend=backend, plans=plans,
         )
-        if max_delta_age < 1:
-            raise EngineError(f"max_delta_age must be >= 1, got {max_delta_age}")
         self.max_delta_age = max_delta_age
         self.controller = controller or PaperRuleController()
-        if lens:
-            # lens may be True or a dict of CoherencyLens kwargs
-            # (sample_size/seed/rollup_after/rollup_every)
-            opts = lens if isinstance(lens, dict) else {}
-            self.lens = CoherencyLens.for_engine(self, **opts)
-        self.exchanger = CoherencyExchanger(
-            pgraph, program, self.runtimes, coherency_mode, self.sim.network,
-            tracer=self.tracer, plane=self.comms,
-            delivery=Delivery.ASYNC_PIPELINED,
-            lens=self.lens,
-        )
+        try:
+            if lens:
+                # lens may be True or a dict of CoherencyLens kwargs
+                # (sample_size/seed/rollup_after/rollup_every)
+                opts = lens if isinstance(lens, dict) else {}
+                self.lens = CoherencyLens.for_engine(self, **opts)
+            self.exchanger = CoherencyExchanger(
+                pgraph, program, self.runtimes, coherency_mode,
+                self.sim.network, tracer=self.tracer, plane=self.comms,
+                delivery=Delivery.ASYNC_PIPELINED,
+                lens=self.lens,
+            )
+        except BaseException:
+            self.backend.close()  # release the workers bound in super()
+            raise
         self._age: List[np.ndarray] = [
             np.zeros(mg.num_local_vertices, dtype=np.int64)
             for mg in pgraph.machines

@@ -47,3 +47,7 @@ class DatasetError(ReproError):
 
 class ConfigError(ReproError):
     """Raised when an experiment/benchmark configuration is invalid."""
+
+
+class RecordFileError(ReproError, ValueError):
+    """Raised for a missing-header, malformed or wrong-kind record file."""

@@ -7,8 +7,9 @@ The observability layer the paper's counter-driven evaluation implies:
   clock, fed by every :class:`~repro.cluster.stats.RunStats` charge;
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry that
   ``RunStats`` is built on;
-* :mod:`repro.obs.sinks` — in-memory (default), JSONL stream, and
-  Chrome ``trace_event`` export (``chrome://tracing`` / Perfetto);
+* :mod:`repro.obs.sinks` — the JSONL record-file writer and reader,
+  in-memory (default), and Chrome ``trace_event`` export
+  (``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.report` — summarize a saved trace (``repro report``);
 * :mod:`repro.obs.shards` — per-machine collectors buffering each
   machine's events during a superstep, merged deterministically into the
@@ -78,8 +79,6 @@ from repro.obs.telemetry import (
     TelemetrySink,
     check_slo,
     format_top,
-    is_telemetry_file,
-    load_telemetry,
     summarize_telemetry,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
@@ -123,9 +122,7 @@ __all__ = [
     "format_serve_analysis",
     "is_serve_trace",
     "TelemetrySink",
-    "load_telemetry",
     "summarize_telemetry",
     "check_slo",
     "format_top",
-    "is_telemetry_file",
 ]

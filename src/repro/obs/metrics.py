@@ -31,7 +31,16 @@ __all__ = [
     "RestoredSummary",
     "MetricsRegistry",
     "ExtraView",
+    "sorted_quantile",
 ]
+
+
+def sorted_quantile(sorted_values: Sequence[float], q: float) -> float:
+    """Exact nearest-rank q-quantile of an ascending list (0.0 if empty)."""
+    if not sorted_values:
+        return 0.0
+    idx = min(int(q * len(sorted_values)), len(sorted_values) - 1)
+    return sorted_values[idx]
 
 
 class Metric:

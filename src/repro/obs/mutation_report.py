@@ -1,7 +1,8 @@
 """Mutation-stream analysis: re-convergence cost and λ drift over time.
 
-Consumes the JSONL event stream ``repro mutate`` (and
-``benchmarks/bench_dynamic.py``) emit — one ``{"event": "apply", ...}``
+Consumes the ``repro-mutations`` record file ``repro mutate`` (and
+``benchmarks/bench_dynamic.py``) write with :func:`write_mutation_stream`
+— a ``mutation_header`` line, then one ``{"event": "apply", ...}``
 record per applied batch, interleaved with ``{"event": "run", ...}``
 records for the engine runs that re-converged after each — and distills
 the two questions the dynamic-graph story hangs on:
@@ -13,37 +14,34 @@ the two questions the dynamic-graph story hangs on:
   wandered from the baseline partitioning as mutations accumulated,
   and where the repartition valve fired.
 
-``repro analyze --mutations PATH`` prints the result.
+``repro analyze PATH`` prints the result.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List
 
 from repro.bench.reporting import format_table
+from repro.obs.sinks import MUTATIONS_FORMAT, JsonlSink
 
 __all__ = [
-    "load_mutation_stream",
+    "MUTATIONS_HEADER",
+    "write_mutation_stream",
     "analyze_mutation_stream",
     "format_mutation_analysis",
 ]
 
-
-def load_mutation_stream(path: str) -> List[Dict[str, Any]]:
-    """Parse a mutation-stream JSONL file into its event records."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            events.append(json.loads(line))
-    return events
+MUTATIONS_HEADER = {
+    "type": "mutation_header", "format": MUTATIONS_FORMAT, "version": 1,
+}
 
 
-def is_mutation_stream(events: Iterable[Dict[str, Any]]) -> bool:
-    return any(e.get("event") == "apply" for e in events)
+def write_mutation_stream(path: str, events: Iterable[Dict[str, Any]]) -> None:
+    """Write ``events`` as a mutation-stream record file at ``path``."""
+    sink = JsonlSink(path, header=MUTATIONS_HEADER)
+    for event in events:
+        sink.emit(event)
+    sink.close()
 
 
 def _worst_lambda(apply_ev: Dict[str, Any]) -> float:
@@ -182,7 +180,7 @@ def analyze_mutation_stream(
 def format_mutation_analysis(
     analysis: Dict[str, Any], max_rows: int = 40
 ) -> str:
-    """Human-readable table for ``repro analyze --mutations``."""
+    """Human-readable table for ``repro analyze`` on a mutation stream."""
     out: List[str] = []
     baseline = analysis.get("baseline") or {}
     if baseline:

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.errors import RecordFileError
+from repro.obs.sinks import TRACE_FORMAT, expect_format, read_jsonl
 
 __all__ = [
     "TraceData",
     "load_trace",
-    "trace_from_tracer",
+    "read_record_file",
+    "trace_from_records",
     "summarize_trace",
     "format_report",
 ]
@@ -50,13 +54,15 @@ class TraceData:
         return [s for s in self.spans if s.get("cat") == "phase"]
 
 
-def _load_jsonl(lines: List[str]) -> TraceData:
+def trace_from_records(
+    records: Iterable[Dict[str, Any]], meta: Optional[Dict[str, Any]] = None
+) -> TraceData:
+    """Sort trace records into a :class:`TraceData`; ``meta`` stands in
+    when no ``run_meta`` record carries it. Given ``(tracer.records,
+    tracer.meta)`` it builds the view ``load_trace`` reads back from the
+    tracer's JSONL export. Other record types are ignored."""
     trace = TraceData()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
+    for record in records:
         rtype = record.get("type")
         if rtype == "span":
             trace.spans.append(record)
@@ -66,13 +72,16 @@ def _load_jsonl(lines: List[str]) -> TraceData:
             trace.counters.append(record)
         elif rtype == "run_meta":
             trace.meta.update(record.get("meta") or {})
-        # trace_header / unknown types: ignored (forward compatibility)
+    if not trace.meta and meta:
+        trace.meta.update(meta)
     return trace
 
 
-def _load_chrome(doc: Dict[str, Any]) -> TraceData:
-    trace = TraceData()
-    trace.meta.update(doc.get("otherData") or {})
+def _chrome_records(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """A Chrome ``trace_event`` document as the equivalent trace records."""
+    records: List[Dict[str, Any]] = [
+        {"type": "run_meta", "meta": doc.get("otherData") or {}}
+    ]
     for event in doc.get("traceEvents", []):
         ph = event.get("ph")
         if ph == "X":
@@ -94,57 +103,44 @@ def _load_chrome(doc: Dict[str, Any]) -> TraceData:
                 span.update(host_t0=t0, host_t1=t1, model_t0=0.0, model_t1=0.0)
             else:
                 span.update(model_t0=t0, model_t1=t1)
-            trace.spans.append(span)
+            records.append(span)
         elif ph == "i":
-            trace.instants.append({
+            records.append({
                 "type": "instant",
                 "name": event.get("name"),
                 "model_t": event.get("ts", 0.0) / _US,
                 "attrs": dict(event.get("args") or {}),
             })
         elif ph == "C":
-            trace.counters.append({
+            records.append({
                 "type": "counter",
                 "name": event.get("name"),
                 "model_t": event.get("ts", 0.0) / _US,
                 "value": (event.get("args") or {}).get("value", 0.0),
             })
-    return trace
+    return records
+
+
+def read_record_file(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """:func:`~repro.obs.sinks.read_jsonl`, reading a Chrome trace as a
+    ``repro-trace`` header plus its equivalent trace records."""
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.read(4096).lstrip()
+        if head.startswith("{") and '"traceEvents"' in head:
+            fh.seek(0)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise RecordFileError(f"{path}: {exc}") from None
+            return {"format": TRACE_FORMAT}, _chrome_records(doc)
+    return read_jsonl(path)
 
 
 def load_trace(path: str) -> TraceData:
-    """Read a trace file, auto-detecting JSONL vs Chrome JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError(f"{path}: empty trace file")
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
-        return _load_chrome(json.loads(text))
-    return _load_jsonl(text.splitlines())
-
-
-def trace_from_tracer(tracer) -> TraceData:
-    """Normalize a finished in-memory :class:`Tracer` into a TraceData.
-
-    The same view ``load_trace`` produces from a JSONL file — the
-    round-trip tests assert the two agree — so reports, audits and
-    dashboards run identically on live runs and saved traces.
-    """
-    trace = TraceData()
-    for record in tracer.records:
-        rtype = record.get("type")
-        if rtype == "span":
-            trace.spans.append(record)
-        elif rtype == "instant":
-            trace.instants.append(record)
-        elif rtype == "counter":
-            trace.counters.append(record)
-        elif rtype == "run_meta":
-            trace.meta.update(record.get("meta") or {})
-    if not trace.meta:
-        trace.meta.update(tracer.meta)
-    return trace
+    """Read a ``repro-trace`` file (JSONL or Chrome JSON) into a TraceData."""
+    header, records = read_record_file(path)
+    expect_format(path, header, (TRACE_FORMAT,))
+    return trace_from_records(records)
 
 
 # ----------------------------------------------------------------------

@@ -38,13 +38,12 @@ end-to-end latency bit-for-bit from its spans (``repro analyze
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import sorted_quantile
+from repro.obs.sinks import TRACE_FORMAT, JsonlSink
 from repro.obs.tracer import SERVE as SERVE_CATEGORY
 
 __all__ = [
@@ -150,34 +149,17 @@ class ServeTraceWriter:
     ``host_t0``/``host_t1``/``attrs``) so :func:`repro.obs.report.
     load_trace` reads the file unchanged; service spans carry
     ``cat: "serve"``. All writes happen on the service's dispatcher
-    thread except :meth:`close` (guarded by a lock).
+    thread except :meth:`close`; the :class:`~repro.obs.sinks.JsonlSink`
+    underneath serializes them and drops any that arrive after close.
     """
 
-    VERSION = 1
-
     def __init__(self, path: str) -> None:
-        self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
         self._next_id = 1
         self.epoch = time.perf_counter()
-        self._closed = False
-        self._write({
-            "type": "trace_header", "format": "repro-trace",
-            "version": self.VERSION, "profile": "serve",
+        self._sink = JsonlSink(path, header={
+            "type": "trace_header", "format": TRACE_FORMAT, "version": 1,
+            "profile": "serve",
         })
-
-    # ------------------------------------------------------------------
-    def _write(self, obj: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-    def _emit(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            if not self._closed:
-                self._write(record)
 
     def _span(
         self,
@@ -198,7 +180,7 @@ class ServeTraceWriter:
         span_id = self._next_id
         self._next_id += 1
         attrs["dur_s"] = dur_s if dur_s is not None else (t1 - t0)
-        self._emit({
+        self._sink.emit({
             "type": "span",
             "id": span_id,
             "parent": parent,
@@ -283,7 +265,7 @@ class ServeTraceWriter:
                 attrs = dict(r.get("attrs") or {})
                 attrs["run_id"] = run_id
                 r["attrs"] = attrs
-                self._emit(r)
+                self._sink.emit(r)
             elif rtype == "instant":
                 r = dict(rec)
                 if "host_t" in r:
@@ -291,11 +273,11 @@ class ServeTraceWriter:
                 attrs = dict(r.get("attrs") or {})
                 attrs["run_id"] = run_id
                 r["attrs"] = attrs
-                self._emit(r)
+                self._sink.emit(r)
             elif rtype == "counter":
-                self._emit(dict(rec))
+                self._sink.emit(dict(rec))
             elif rtype == "run_meta":
-                self._emit({
+                self._sink.emit({
                     "type": "instant",
                     "name": "run-meta",
                     "host_t": tracer.host_epoch - self.epoch,
@@ -346,14 +328,9 @@ class ServeTraceWriter:
 
     def close(self, meta: Optional[Dict[str, Any]] = None) -> None:
         """Write the trailing ``run_meta`` (service stats) and close."""
-        with self._lock:
-            if self._closed:
-                return
-            final = {"service": True}
-            final.update(meta or {})
-            self._write({"type": "run_meta", "meta": final})
-            self._closed = True
-            self._fh.close()
+        final = {"service": True}
+        final.update(meta or {})
+        self._sink.close(last={"type": "run_meta", "meta": final})
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +342,6 @@ def is_serve_trace(trace: Any) -> bool:
         s.get("cat") == SERVE_CATEGORY and s.get("name") == "serve.request"
         for s in trace.spans
     )
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[idx]
 
 
 def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
@@ -499,8 +469,8 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
             "cost_share": (
                 c["engine_cost_s"] / total_cost if total_cost > 0 else 0.0
             ),
-            "latency_p50_s": _quantile(lat, 0.50),
-            "latency_p95_s": _quantile(lat, 0.95),
+            "latency_p50_s": sorted_quantile(lat, 0.50),
+            "latency_p95_s": sorted_quantile(lat, 0.95),
             "latency_max_s": lat[-1] if lat else 0.0,
         }
 

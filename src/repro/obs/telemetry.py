@@ -9,13 +9,12 @@ and :class:`~repro.runtime.process_backend.WorkerPool` liveness /
 last-op-age heartbeats — and appends one JSON line per tick to an
 append-only ``service.telemetry.jsonl``.
 
-The file format is versioned: line one is a ``telemetry_header`` record
-(``format: "repro-telemetry"``, ``version: 1``); every subsequent line
-is a ``telemetry`` tick. Consumers: ``repro top`` (live/one-shot text
-view, :func:`format_top`), ``repro slo`` (threshold gate,
-:func:`check_slo`, non-zero exit on violation), ``repro report`` (the
-"service" section via :func:`summarize_telemetry`) and the HTML
-dashboard's serving panel.
+It is a record file (:mod:`repro.obs.sinks`): a ``telemetry_header``
+(``format: "repro-telemetry"``, ``version: 1``), then one ``telemetry``
+tick a line. Consumers take the ticks ``read_jsonl`` returns: ``repro
+top`` (live/one-shot text view, :func:`format_top`), ``repro slo``
+(threshold gate, :func:`check_slo`, non-zero exit on violation) and
+``repro report`` (the "service" section via :func:`summarize_telemetry`).
 
 Neutrality contract: the sink only *reads* service state (plus its own
 per-class windows fed from ``observe``) — it never touches the
@@ -25,38 +24,28 @@ answers are bit-identical with telemetry on or off.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, TextIO
+from typing import Any, Dict, List, Optional
+
+from repro.obs.metrics import sorted_quantile
+from repro.obs.sinks import TELEMETRY_FORMAT, JsonlSink
 
 __all__ = [
     "TelemetrySink",
-    "load_telemetry",
     "summarize_telemetry",
     "check_slo",
     "format_top",
     "format_service_report",
-    "iter_follow",
-    "is_telemetry_file",
     "TELEMETRY_FORMAT",
     "TELEMETRY_VERSION",
 ]
 
-TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
 
 #: latency quantiles reported per sliding window
 WINDOW_QUANTILES = (0.50, 0.95, 0.99)
-
-
-def _window_quantile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[idx]
 
 
 class _ClassWindow:
@@ -87,7 +76,7 @@ class _ClassWindow:
             "hit_rate": hits / n if n else 0.0,
         }
         for q in WINDOW_QUANTILES:
-            out[f"p{int(q * 100)}_ms"] = _window_quantile(lats, q) * 1e3
+            out[f"p{int(q * 100)}_ms"] = sorted_quantile(lats, q) * 1e3
         return out
 
 
@@ -109,39 +98,27 @@ class TelemetrySink:
         window_s: float = 60.0,
     ) -> None:
         self.service = service
-        self.path = str(path)
         self.interval_s = max(float(interval_s), 0.01)
         self.window_s = float(window_s)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh: Optional[TextIO] = open(self.path, "w", encoding="utf-8")
         self._lock = threading.Lock()
         self._windows: Dict[str, _ClassWindow] = {}
         self._seq = 0
         self._t0 = time.monotonic()
         self._stop = threading.Event()
-        self._write({
+        self._sink = JsonlSink(path, header={
             "type": "telemetry_header",
             "format": TELEMETRY_FORMAT,
             "version": TELEMETRY_VERSION,
             "interval_s": self.interval_s,
             "window_s": self.window_s,
             "t_start_unix": time.time(),
-        })
+        }, flush=True)
         self._thread = threading.Thread(
             target=self._ticker, name="repro-telemetry", daemon=True
         )
         self._thread.start()
 
     # ------------------------------------------------------------------
-    def _write(self, obj: Dict[str, Any]) -> None:
-        fh = self._fh
-        if fh is None:
-            return
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
-        fh.flush()
-
     def observe(self, query_class: str, latency_s: float, cached: bool) -> None:
         """Feed one finished request into the sliding windows."""
         now = time.monotonic()
@@ -178,7 +155,7 @@ class TelemetrySink:
             }
             record.update(snap)
             self._seq += 1
-            self._write(record)
+            self._sink.emit(record)
         return record
 
     def close(self) -> None:
@@ -188,10 +165,7 @@ class TelemetrySink:
         self._stop.set()
         self._thread.join(timeout=5.0)
         self.tick()
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        self._sink.close()
 
     def __enter__(self) -> "TelemetrySink":
         return self
@@ -203,53 +177,10 @@ class TelemetrySink:
 # ----------------------------------------------------------------------
 # File consumers (``repro top`` / ``repro slo`` / ``repro report``)
 # ----------------------------------------------------------------------
-def is_telemetry_file(path: str) -> bool:
-    """Sniff whether ``path`` is a service telemetry JSONL file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().strip()
-        if not first:
-            return False
-        rec = json.loads(first)
-    except (OSError, ValueError):
-        return False
-    return (
-        isinstance(rec, dict)
-        and rec.get("type") == "telemetry_header"
-        and rec.get("format") == TELEMETRY_FORMAT
-    )
-
-
-def load_telemetry(path: str) -> Dict[str, Any]:
-    """Load a telemetry file -> ``{"header": ..., "ticks": [...]}``.
-
-    Unknown record types are ignored (forward compatibility); a
-    truncated trailing line (sink killed mid-write) is dropped.
-    """
-    header: Dict[str, Any] = {}
-    ticks: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            rtype = rec.get("type")
-            if rtype == "telemetry_header":
-                header = rec
-            elif rtype == "telemetry":
-                ticks.append(rec)
-    if header.get("format") not in (None, TELEMETRY_FORMAT):
-        raise ValueError(f"not a telemetry file: {path}")
-    return {"header": header, "ticks": ticks}
-
-
-def summarize_telemetry(data: Dict[str, Any]) -> Dict[str, Any]:
+def summarize_telemetry(
+    header: Dict[str, Any], ticks: List[Dict[str, Any]]
+) -> Dict[str, Any]:
     """Aggregate a telemetry stream for the report "service" section."""
-    ticks = data.get("ticks") or []
     if not ticks:
         return {"ticks": 0}
     last = ticks[-1]
@@ -259,7 +190,7 @@ def summarize_telemetry(data: Dict[str, Any]) -> Dict[str, Any]:
     summary: Dict[str, Any] = {
         "ticks": len(ticks),
         "uptime_s": last.get("uptime_s", 0.0),
-        "interval_s": (data.get("header") or {}).get("interval_s"),
+        "interval_s": header.get("interval_s"),
         "queue_depth_last": last.get("queue_depth", 0),
         "queue_depth_max": max(queue_depths) if queue_depths else 0,
         "inflight_last": last.get("inflight", 0),
@@ -275,7 +206,7 @@ def summarize_telemetry(data: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def check_slo(
-    data: Dict[str, Any],
+    ticks: List[Dict[str, Any]],
     p95_ms: Optional[float] = None,
     min_hit_rate: Optional[float] = None,
     max_queue_depth: Optional[int] = None,
@@ -288,7 +219,6 @@ def check_slo(
     gates the final cumulative cache hit rate; ``max_queue_depth``
     gates the maximum sampled queue depth over all ticks.
     """
-    ticks = data.get("ticks") or []
     if not ticks:
         return ["no telemetry ticks in file"]
     last = ticks[-1]
@@ -439,32 +369,3 @@ def format_top(tick: Dict[str, Any], header: Optional[Dict] = None) -> str:
             f"{sess.get('plans', 0)} plan sets"
         )
     return "\n".join(lines)
-
-
-def iter_follow(
-    path: str, poll_s: float = 0.5, stop: Optional[threading.Event] = None
-) -> Iterable[Dict[str, Any]]:
-    """Yield telemetry ticks from a growing file (``repro top --follow``).
-
-    Tails the file forever (until ``stop`` is set or the reader is
-    interrupted); partial trailing lines are retried on the next poll.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        buf = ""
-        while stop is None or not stop.is_set():
-            chunk = fh.readline()
-            if not chunk:
-                time.sleep(poll_s)
-                continue
-            buf += chunk
-            if not buf.endswith("\n"):
-                continue
-            line, buf = buf.strip(), ""
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if rec.get("type") == "telemetry":
-                yield rec

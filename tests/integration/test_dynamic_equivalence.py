@@ -29,7 +29,7 @@ import pytest
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.mutation import MutationBatch
 from repro.obs.audit import LensAuditor
-from repro.obs.report import trace_from_tracer
+from repro.obs.report import trace_from_records
 from repro.obs.tracer import Tracer
 from repro.session import GraphSession
 
@@ -149,7 +149,8 @@ class TestLensClean:
                 alg, incremental=True, tracer=tracer, lens=True, **params
             )
         assert inc.stats.extra["warm_start"] == 1.0
-        anomalies = LensAuditor(trace_from_tracer(tracer)).audit()
+        trace = trace_from_records(tracer.records, tracer.meta)
+        anomalies = LensAuditor(trace).audit()
         assert anomalies == [], [str(a) for a in anomalies]
         assert inc.stats.extra["lens.invariant_breaks"] == 0.0
 

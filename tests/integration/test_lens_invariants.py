@@ -22,7 +22,7 @@ import pytest
 
 from repro.obs import Tracer
 from repro.obs.audit import LensAuditor
-from repro.obs.report import trace_from_tracer
+from repro.obs.report import trace_from_records
 from repro.run_api import run
 
 ENGINES = ["lazy-block", "lazy-vertex"]
@@ -73,7 +73,8 @@ class TestLensInvariants:
 
     def test_auditor_finds_nothing(self, lens_run):
         *_, tracer = lens_run
-        anomalies = LensAuditor(trace_from_tracer(tracer)).audit()
+        trace = trace_from_records(tracer.records, tracer.meta)
+        anomalies = LensAuditor(trace).audit()
         assert anomalies == [], [str(a) for a in anomalies]
 
     def test_probe_cadence_covers_every_superstep(self, lens_run):

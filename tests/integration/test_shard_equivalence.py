@@ -22,7 +22,7 @@ import pytest
 
 from repro.obs.audit import LensAuditor
 from repro.obs.critical_path import analyze_trace
-from repro.obs.report import trace_from_tracer
+from repro.obs.report import trace_from_records
 from repro.obs.tracer import Tracer
 from repro.core.transmission import build_lazy_graph
 from repro.run_api import prepare_graph
@@ -106,7 +106,8 @@ class TestCriticalPathOnRealTraces:
         self, engine, alg, er_graph
     ):
         tracer, result = _run(engine, alg, er_graph, buffered=True)
-        analysis = analyze_trace(trace_from_tracer(tracer))
+        trace = trace_from_records(tracer.records, tracer.meta)
+        analysis = analyze_trace(trace)
         assert analysis["supersteps"], "no supersteps reconstructed"
         for row in analysis["supersteps"]:
             gate = row["gating"]
@@ -141,5 +142,6 @@ class TestLensShardingBitExact:
         # "sharded" is the buffered per-machine collectors; the lens
         # itself has one probe path
         tracer, _ = _run(engine, alg, er_graph, buffered=True, lens=True)
-        anomalies = LensAuditor(trace_from_tracer(tracer)).audit()
+        trace = trace_from_records(tracer.records, tracer.meta)
+        anomalies = LensAuditor(trace).audit()
         assert anomalies == [], [str(a) for a in anomalies]

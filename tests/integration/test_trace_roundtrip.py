@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.obs import Tracer, export_trace, load_trace, summarize_trace
-from repro.obs.report import trace_from_tracer
+from repro.obs.report import trace_from_records
 from repro.run_api import run
 from repro.runtime.registry import engine_names
 
@@ -34,7 +34,8 @@ def traced_runs():
 class TestJsonlRoundTrip:
     def test_summary_survives_disk(self, traced_runs, engine, tmp_path):
         tracer = traced_runs[engine]
-        in_memory = summarize_trace(trace_from_tracer(tracer))
+        trace = trace_from_records(tracer.records, tracer.meta)
+        in_memory = summarize_trace(trace)
         path = tmp_path / f"{engine}.trace.jsonl"
         export_trace(tracer, str(path), "jsonl")
         from_disk = summarize_trace(load_trace(str(path)))

@@ -105,3 +105,25 @@ class TestProcessBackendCrashPath:
         for rt in eng.runtimes:
             assert rt.msg is not None
             rt.msg[:] = 0.0  # poke-able (would fail on a closed shm view)
+
+
+class TestConstructorFailureReleasesBackend:
+    def test_post_bind_error_leaves_no_workers_or_segments(self):
+        """A lazy-engine constructor raising after the backend bound its
+        workers must close it: no live children, no new segments."""
+        import multiprocessing
+        import os
+
+        import repro
+
+        shm = "/dev/shm"
+        children = set(multiprocessing.active_children())
+        before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        with pytest.raises(ConfigError, match="bogus"):
+            repro.run(
+                "road-ca-mini", "pagerank", machines=4, engine="lazy-block",
+                lens_opts={"bogus": 1}, backend="process", workers=2,
+            )
+        assert set(multiprocessing.active_children()) <= children
+        after = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        assert after - before == set()

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -314,3 +316,106 @@ class TestDashboardCompare:
     def test_neither_trace_nor_compare_rejected(self, capsys):
         assert main(["dashboard"]) == 2
         assert "required" in capsys.readouterr().err
+
+
+class TestRecordFileCommands:
+    """report/analyze/dashboard/top/slo read the header, fail loudly."""
+
+    GOLDEN = Path(__file__).parents[1] / "data" / "golden_trace.jsonl"
+
+    def _telemetry(self, tmp_path):
+        import json
+
+        path = tmp_path / "service.telemetry.jsonl"
+        path.write_text(
+            json.dumps({"type": "telemetry_header",
+                        "format": "repro-telemetry", "version": 1}) + "\n"
+            + json.dumps({"type": "telemetry", "seq": 0}) + "\n"
+        )
+        return str(path)
+
+    def test_analyze_on_telemetry_file_exits_2(self, capsys, tmp_path):
+        path = self._telemetry(tmp_path)
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert path in line and "repro-telemetry" in line
+        assert "'repro top'" in line
+
+    def test_report_on_cut_trace_drops_the_torn_line(self, capsys, tmp_path):
+        text = self.GOLDEN.read_text(encoding="utf-8")
+        cut = tmp_path / "cut.trace.jsonl"
+        cut.write_text(text[:-20])  # kill the writer mid run_meta line
+        assert main(["report", str(cut)]) == 0
+        assert "per-phase modeled time" in capsys.readouterr().out
+
+    def test_report_on_missing_file_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.jsonl")
+        assert main(["report", path]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert path in line
+
+    def test_report_on_malformed_line_names_it(self, capsys, tmp_path):
+        lines = self.GOLDEN.read_text(encoding="utf-8").splitlines(True)
+        lines[3] = lines[3][:25] + "\n"
+        bad = tmp_path / "bad.trace.jsonl"
+        bad.write_text("".join(lines))
+        assert main(["report", str(bad)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"{bad}:4:" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["top", "{trace}"],
+        ["slo", "{trace}", "--p95-ms", "1"],
+        ["dashboard", "{telemetry}", "-o", "{out}"],
+        ["report", "{empty}"],
+    ])
+    def test_wrong_kind_or_empty_file_exits_2(self, capsys, tmp_path, argv):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        names = {
+            "trace": str(self.GOLDEN), "telemetry": self._telemetry(tmp_path),
+            "out": str(tmp_path / "d.html"), "empty": str(empty),
+        }
+        argv = [a.format(**names) for a in argv]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert argv[1] in line
+        assert not (tmp_path / "d.html").exists()
+
+
+class TestMutateCli:
+    BATCH = '{"add_edges": [[0, 17], [42, 7]], "remove_vertices": [9]}'
+
+    def test_mutation_stream_round_trip(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.mutation_report import analyze_mutation_stream
+        from repro.obs.sinks import read_jsonl
+
+        path = tmp_path / "mut.jsonl"
+        rc = main(
+            ["mutate", "--graph", "road-ca-mini", "--machines", "8",
+             "--algorithm", "pagerank", "--compare-cold",
+             "--batch-json", self.BATCH, "--out", str(path)]
+        )
+        assert rc == 0
+        stdout = capsys.readouterr().out.splitlines()
+        lines = path.read_text().splitlines()
+        assert stdout == lines
+        assert json.loads(lines[0]) == {
+            "type": "mutation_header", "format": "repro-mutations",
+            "version": 1,
+        }
+        header, records = read_jsonl(str(path))
+        assert [r["event"] for r in records] == ["run", "apply", "run"]
+        events = [json.loads(x) for x in stdout[1:]]
+        assert analyze_mutation_stream(records) == analyze_mutation_stream(
+            events
+        )
+
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "mutation stream" in out and "inc_ss" in out
+        assert "totals: 1 batches (+2/-4 edges)" in out

@@ -7,7 +7,7 @@ import pytest
 from repro.obs import Tracer
 from repro.obs.audit import LensAuditor
 from repro.obs.dashboard import render_dashboard
-from repro.obs.report import TraceData, trace_from_tracer
+from repro.obs.report import TraceData, trace_from_records
 from repro.run_api import run
 
 
@@ -16,7 +16,7 @@ def lens_trace():
     tracer = Tracer()
     run("road-ca-mini", "pagerank", engine="lazy-block", machines=4,
         seed=0, tracer=tracer, lens=True)
-    return trace_from_tracer(tracer)
+    return trace_from_records(tracer.records, tracer.meta)
 
 
 class TestRenderDashboard:
@@ -132,7 +132,7 @@ class TestCompareDashboard:
             tracer = Tracer()
             run("road-ca-mini", "pagerank", engine="lazy-vertex",
                 machines=4, seed=0, policy=policy, tracer=tracer, lens=True)
-            traces.append(trace_from_tracer(tracer))
+            traces.append(trace_from_records(tracer.records, tracer.meta))
         return traces
 
     def test_overlay_sections_present(self, two_traces):

@@ -6,6 +6,7 @@ Chrome ``trace_event`` export.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -25,7 +26,9 @@ from repro.obs import (
     load_trace,
     summarize_trace,
 )
+from repro.errors import RecordFileError
 from repro.obs.chrome import CLUSTER_PID, HOST_PID
+from repro.obs.sinks import follow_jsonl, read_jsonl
 
 
 class TestSpanNesting:
@@ -292,6 +295,81 @@ class TestSinks:
             export_trace(_traced_run(), str(tmp_path / "x"), "protobuf")
 
 
+class TestRecordFiles:
+    """The one JSONL reader/writer every record file goes through."""
+
+    HEADER = {"type": "trace_header", "format": "repro-trace", "version": 1}
+
+    def _write(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_header_split_and_blank_lines_skipped(self, tmp_path):
+        path = self._write(
+            tmp_path / "t.jsonl",
+            json.dumps(self.HEADER) + "\n\n" + '{"type": "span"}\n  \n',
+        )
+        header, records = read_jsonl(path)
+        assert header == self.HEADER
+        assert records == [{"type": "span"}]
+
+    def test_headerless_file_has_empty_header(self, tmp_path):
+        path = self._write(tmp_path / "e.jsonl", '{"event": "apply"}\n')
+        assert read_jsonl(path) == ({}, [{"event": "apply"}])
+
+    def test_torn_final_line_is_dropped(self, tmp_path):
+        path = self._write(
+            tmp_path / "t.jsonl",
+            json.dumps(self.HEADER) + '\n{"type": "span"}\n{"type": "sp',
+        )
+        assert read_jsonl(path)[1] == [{"type": "span"}]
+
+    @pytest.mark.parametrize("text, lineno", [
+        ('{"format": "repro-trace"}\n{"type": "sp\n{"type": "span"}\n', 2),
+        ('{"format": "repro-trace"}\n{"type": "sp\n', 2),
+        ('{"format": "repro-trace"}\n\n[1, 2]\n', 3),
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, text, lineno):
+        path = self._write(tmp_path / "bad.jsonl", text)
+        with pytest.raises(ValueError, match=f"bad.jsonl:{lineno}:"):
+            read_jsonl(path)
+
+    def test_load_trace_rejects_other_formats(self, tmp_path):
+        path = self._write(
+            tmp_path / "tel.jsonl",
+            '{"type": "telemetry_header", "format": "repro-telemetry"}\n',
+        )
+        with pytest.raises(RecordFileError, match="repro-telemetry file"):
+            load_trace(path)
+        with pytest.raises(RecordFileError, match="no record-file header"):
+            load_trace(self._write(tmp_path / "empty.jsonl", ""))
+
+    def test_sink_writes_last_once_and_drops_after_close(self, tmp_path):
+        path = tmp_path / "sub" / "s.jsonl"
+        sink = JsonlSink(str(path), header={"format": "x", "b": 1, "a": 2})
+        sink.emit({"z": 1, "y": 2})
+        sink.close(last={"type": "run_meta"})
+        sink.close(last={"type": "run_meta"})
+        sink.emit({"late": True})
+        assert path.read_text().splitlines() == [
+            '{"a": 2, "b": 1, "format": "x"}',
+            '{"y": 2, "z": 1}',
+            '{"type": "run_meta"}',
+        ]
+
+    def test_follow_skips_header_and_waits_for_whole_lines(self, tmp_path):
+        path = tmp_path / "grow.jsonl"
+        self._write(path, json.dumps(self.HEADER) + '\n{"n": 1}\n{"n":')
+        stop = threading.Event()
+        follow = follow_jsonl(str(path), poll_s=0.01, stop=stop)
+        assert next(follow) == {"n": 1}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(" 2}\n")
+        assert next(follow) == {"n": 2}
+        stop.set()
+        assert list(follow) == []
+
+
 class TestChromeExport:
     def test_document_structure(self, tmp_path):
         t = _traced_run()
@@ -372,13 +450,14 @@ class TestReportDistributions:
         assert "distributions" not in format_report(summary)
 
     def test_lens_run_report_carries_quantiles(self):
-        from repro.obs.report import trace_from_tracer
+        from repro.obs.report import trace_from_records
         from repro.run_api import run
 
         tracer = Tracer()
         run("road-ca-mini", "pagerank", engine="lazy-vertex", machines=4,
             seed=0, tracer=tracer, lens=True)
-        summary = summarize_trace(trace_from_tracer(tracer))
+        trace = trace_from_records(tracer.records, tracer.meta)
+        summary = summarize_trace(trace)
         names = {d["name"] for d in summary["distributions"]}
         assert "lens.staleness" in names
         assert "lens.pending_mass" in names

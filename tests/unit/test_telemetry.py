@@ -12,6 +12,8 @@ import threading
 
 import pytest
 
+from repro.errors import RecordFileError
+from repro.obs.sinks import expect_format, follow_jsonl, read_jsonl
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     TELEMETRY_VERSION,
@@ -20,9 +22,6 @@ from repro.obs.telemetry import (
     check_slo,
     format_service_report,
     format_top,
-    is_telemetry_file,
-    iter_follow,
-    load_telemetry,
     summarize_telemetry,
 )
 from repro.serve import GraphService
@@ -105,13 +104,17 @@ class TestSinkFileFormat:
         assert tick["classes"]["bfs"]["count"] == 1
         assert tick["classes"]["_all"]["count"] == 1
         assert tick["classes"]["bfs"]["p50_ms"] == 25.0
-        assert is_telemetry_file(str(path))
+        header, _ = read_jsonl(str(path))
+        assert expect_format(str(path), header, (TELEMETRY_FORMAT,))
 
-    def test_sniff_rejects_non_telemetry(self, tmp_path):
+    def test_header_check_rejects_non_telemetry(self, tmp_path):
         other = tmp_path / "trace.jsonl"
         other.write_text('{"type": "trace_header", "format": "repro-trace"}\n')
-        assert not is_telemetry_file(str(other))
-        assert not is_telemetry_file(str(tmp_path / "missing.jsonl"))
+        header, _ = read_jsonl(str(other))
+        with pytest.raises(RecordFileError, match="repro-trace file"):
+            expect_format(str(other), header, (TELEMETRY_FORMAT,))
+        with pytest.raises(FileNotFoundError):
+            read_jsonl(str(tmp_path / "missing.jsonl"))
 
     def test_load_drops_truncated_tail(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -122,9 +125,9 @@ class TestSinkFileFormat:
         sink.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"type": "telemetry", "seq": 99, "trunc')
-        data = load_telemetry(str(path))
-        assert all(t["seq"] != 99 for t in data["ticks"])
-        assert data["header"]["format"] == TELEMETRY_FORMAT
+        header, ticks = read_jsonl(str(path))
+        assert all(t["seq"] != 99 for t in ticks)
+        assert header["format"] == TELEMETRY_FORMAT
 
     def test_snapshot_errors_keep_ticker_alive(self, tmp_path):
         class Broken:
@@ -136,7 +139,7 @@ class TestSinkFileFormat:
         rec = sink.tick()
         sink.close()
         assert "error" in rec
-        assert load_telemetry(str(path))["ticks"]
+        assert read_jsonl(str(path))[1]
 
 
 class TestSloGate:
@@ -148,7 +151,7 @@ class TestSloGate:
                 "hit_rate": hit_rate,
                 "latency": {"count": 4, "p95": p95_s},
             })
-        return {"header": {}, "ticks": ticks}
+        return ticks
 
     def test_pass(self):
         data = self._data()
@@ -169,7 +172,7 @@ class TestSloGate:
         )) == 3
 
     def test_empty_file_is_a_violation(self):
-        assert check_slo({"header": {}, "ticks": []}, p95_ms=1.0)
+        assert check_slo([], p95_ms=1.0)
 
 
 class TestRenderers:
@@ -209,14 +212,14 @@ class TestRenderers:
         sink.observe("bfs", 0.025, cached=True)
         sink.tick()
         sink.close()
-        summary = summarize_telemetry(load_telemetry(str(path)))
+        summary = summarize_telemetry(*read_jsonl(str(path)))
         assert summary["queue_depth_max"] == 2
         text = format_service_report(summary)
         assert "service telemetry" in text
         assert "cache entries" in text
         assert "final sliding window" in text
 
-    def test_iter_follow_yields_and_stops(self, tmp_path):
+    def test_follow_yields_ticks_and_stops(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sink = TelemetrySink(_FakeService(), str(path), interval_s=10.0)
         sink.tick()
@@ -224,7 +227,7 @@ class TestRenderers:
         sink.close()
         stop = threading.Event()
         got = []
-        for rec in iter_follow(str(path), poll_s=0.01, stop=stop):
+        for rec in follow_jsonl(str(path), poll_s=0.01, stop=stop):
             got.append(rec["seq"])
             if len(got) == 2:
                 stop.set()
@@ -265,13 +268,13 @@ class TestLiveServiceTelemetry:
         ) as svc:
             svc.query("bfs", sources=[0])
             svc.query("bfs", sources=[0])
-        data = load_telemetry(str(path))
-        assert data["ticks"], "no final tick written on close"
-        last = data["ticks"][-1]
+        _, ticks = read_jsonl(str(path))
+        assert ticks, "no final tick written on close"
+        last = ticks[-1]
         assert last["counters"]["serve.queries"] == 2.0
         assert last["hit_rate"] == 0.5
         assert last["classes"]["bfs"]["count"] == 2
         assert last["classes"]["bfs"]["cache_hits"] == 1
         assert last["inflight"] == 0 and last["queue_depth"] == 0
         assert last["session"]["runs_completed"] >= 1
-        assert check_slo(data, p95_ms=600000.0, min_hit_rate=0.5) == []
+        assert check_slo(ticks, p95_ms=600000.0, min_hit_rate=0.5) == []
